@@ -43,6 +43,14 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
 double minkowski_distance(std::span<const double> a, std::span<const double> b, double p) {
   assert(a.size() == b.size());
   if (p == 2.0) return std::sqrt(squared_distance(a, b));
+  if (p == 1.0) {
+    // Bit-identical to the general formula below: x is representable and
+    // glibc's pow errs far less than half an ULP before its final rounding,
+    // so pow(x, 1.0) returns x itself; the sum keeps its order and 0.0 start.
+    double acc = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) acc += std::abs(a[i] - b[i]);
+    return acc;
+  }
   double acc = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) acc += std::pow(std::abs(a[i] - b[i]), p);
   return std::pow(acc, 1.0 / p);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "linalg/dense_kernels.h"
 #include "linalg/vector_ops.h"
@@ -212,6 +214,20 @@ void KNearestNeighbors::load(std::istream& in) {
   p_ = model_io::read_double(in);
   train_x_ = model_io::read_matrix(in);
   train_y_ = model_io::read_ivec(in);
+  // Hold the constructor's invariants (n_neighbors >= 1, p >= 1) and one
+  // label per training row: predict_score indexes the k-best list at k - 1
+  // and votes with train_y_[row], so either would otherwise read out of
+  // bounds.
+  if (n_neighbors_ < 1) throw std::runtime_error("load_model: knn n_neighbors must be >= 1");
+  if (!(p_ >= 1.0)) throw std::runtime_error("load_model: knn p must be >= 1");
+  if (train_y_.size() != train_x_.rows()) {
+    throw std::runtime_error("load_model: knn has " + std::to_string(train_y_.size()) +
+                             " labels for " + std::to_string(train_x_.rows()) +
+                             " training rows");
+  }
+  if (!single_class() && train_x_.rows() == 0) {
+    throw std::runtime_error("load_model: knn has no training rows");
+  }
   train_sq_norms_ = p_ == 2.0 ? row_squared_norms(train_x_) : std::vector<double>{};
 }
 

@@ -18,8 +18,13 @@
 
 namespace mlaas {
 
+/// Hidden-layer activation of MultiLayerPerceptron (the output unit is
+/// always logistic).
+enum class MlpActivation { kRelu, kTanh, kLogistic };
+
 class MultiLayerPerceptron final : public Classifier {
  public:
+  /// Throws std::invalid_argument for an unknown activation name.
   explicit MultiLayerPerceptron(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
@@ -32,7 +37,7 @@ class MultiLayerPerceptron final : public Classifier {
   void load(std::istream& in) override;
 
  private:
-  std::string activation_;
+  MlpActivation activation_;
   bool adam_;
   double alpha_;
   std::size_t hidden_;

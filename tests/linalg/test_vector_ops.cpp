@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <vector>
 
 namespace mlaas {
 namespace {
@@ -39,6 +45,46 @@ TEST(VectorOps, SquaredDistance) {
 TEST(VectorOps, MinkowskiP1IsManhattan) {
   const std::vector<double> a{0, 0}, b{3, -4};
   EXPECT_DOUBLE_EQ(minkowski_distance(a, b, 1.0), 7.0);
+}
+
+TEST(VectorOps, MinkowskiP1BitEqualToPowFormula) {
+  // The Manhattan branch must return exactly what the general formula
+  // returned before it existed: pow(|a_i - b_i|, 1.0) summed in order from
+  // 0.0, then pow(acc, 1.0).  Entries mix ordinary values with zeros,
+  // subnormals, powers of two and +-Inf (Inf - Inf gives NaN sums too).
+  // The exponent is read at run time, as it was in the old code, so the
+  // compiler cannot fold pow(x, 1.0) to x and libm's pow really runs.
+  volatile double runtime_p = 1.0;
+  const double p = runtime_p;
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -3 * std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min() / 7,
+                             std::numeric_limits<double>::min(),
+                             std::ldexp(1.0, -600),
+                             1024.0,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  std::mt19937_64 gen(1234);
+  std::uniform_real_distribution<double> value(-50.0, 50.0);
+  std::uniform_int_distribution<std::size_t> pick(0, std::size(specials) - 1);
+  std::uniform_int_distribution<int> coin(0, 3);
+  std::uniform_int_distribution<std::size_t> length(0, 37);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<double> a(length(gen)), b(a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = coin(gen) == 0 ? specials[pick(gen)] : value(gen);
+      b[i] = coin(gen) == 0 ? specials[pick(gen)] : value(gen);
+    }
+    double acc = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) acc += std::pow(std::abs(a[i] - b[i]), p);
+    const double want = std::pow(acc, 1.0 / p);
+    const double got = minkowski_distance(a, b, 1.0);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial << ": " << got << " vs " << want;
+  }
 }
 
 TEST(VectorOps, MinkowskiP2IsEuclidean) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,6 +140,11 @@ TEST(Mlp, TanhAndSgdVariant) {
 TEST(Mlp, TwoHiddenLayers) {
   MultiLayerPerceptron clf(ParamMap{{"layers", 2LL}, {"hidden", 8LL}, {"max_iter", 150LL}});
   EXPECT_GT(holdout_accuracy(clf, circles()), 0.8);
+}
+
+TEST(Mlp, UnknownActivationRejected) {
+  EXPECT_THROW(MultiLayerPerceptron(ParamMap{{"activation", std::string("softplus")}}),
+               std::invalid_argument);
 }
 
 TEST(RbfSvm, SolvesCircles) {

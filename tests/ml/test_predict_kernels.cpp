@@ -186,13 +186,15 @@ TEST(PredictKernelToggle, RoundTripsAndDefaultsToFlat) {
   EXPECT_EQ(active_predict_kernel(), PredictKernel::kFlat);
 }
 
-// Oracle for the kNN euclidean path: the full-sort selection every faster
-// strategy (partial_sort, fused bounded insertion, nth_element) must
-// reproduce exactly — same expression, same (distance, index) total order,
-// same sorted-order weighted vote.
+// Oracle for the kNN paths: the full-sort selection every faster strategy
+// (partial_sort, fused bounded insertion, nth_element) must reproduce
+// exactly — same distance expression, same (distance, index) total order,
+// same sorted-order weighted vote.  p = 2 uses the euclidean norm
+// expansion; p = 1 the general Minkowski formula minkowski_distance had
+// before its Manhattan branch, pow and all.
 std::vector<double> knn_full_sort_scores(const Matrix& train_x,
                                          const std::vector<int>& train_y,
-                                         const Matrix& queries, std::size_t k,
+                                         const Matrix& queries, double p, std::size_t k,
                                          bool distance_weighted) {
   const std::size_t n = train_x.rows();
   std::vector<double> sq_norms(n);
@@ -206,8 +208,15 @@ std::vector<double> knn_full_sort_scores(const Matrix& train_x,
     const auto q = queries.row(qi);
     const double q_sq = dot(q, q);
     for (std::size_t i = 0; i < n; ++i) {
-      const double dd = q_sq - 2.0 * dot(q, train_x.row(i)) + sq_norms[i];
-      dist[i] = {std::sqrt(std::max(0.0, dd)), i};
+      if (p == 2.0) {
+        const double dd = q_sq - 2.0 * dot(q, train_x.row(i)) + sq_norms[i];
+        dist[i] = {std::sqrt(std::max(0.0, dd)), i};
+        continue;
+      }
+      const auto row = train_x.row(i);
+      double acc = 0.0;
+      for (std::size_t c = 0; c < q.size(); ++c) acc += std::pow(std::abs(q[c] - row[c]), p);
+      dist[i] = {std::pow(acc, 1.0 / p), i};
     }
     std::sort(dist.begin(), dist.end());
     double pos = 0.0, total = 0.0;
@@ -222,42 +231,52 @@ std::vector<double> knn_full_sort_scores(const Matrix& train_x,
 }
 
 class PredictKernelKnnSelection
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<double, int, const char*>> {};
 
 TEST_P(PredictKernelKnnSelection, MatchesFullSortOracleOnBothKernels) {
-  // k = 5 on 400 train rows drives the flat fused bounded-insertion branch
-  // (5 * 16 < 400); k = 40 drives the nth_element branch (40 * 16 >= 400).
-  // Both must agree with the full-sort oracle bit for bit, under uniform
-  // and distance weights.
-  const int k = std::get<0>(GetParam());
-  const std::string weights = std::get<1>(GetParam());
+  // k = 5 on 400 train rows drives the small-k branch (5 * 16 < 400: fused
+  // bounded insertion for p = 2, partial_sort for p = 1); k = 40 drives the
+  // nth_element branch (40 * 16 >= 400).  Both must agree with the
+  // full-sort oracle bit for bit, under uniform and distance weights.
+  const double p = std::get<0>(GetParam());
+  const int k = std::get<1>(GetParam());
+  const std::string weights = std::get<2>(GetParam());
   const Dataset ds = train_data(61);
   ParamMap params;
   params.set("n_neighbors", static_cast<long long>(k));
   params.set("weights", weights);
+  params.set("p", p);
   auto clf = make_classifier("knn", params, 3);
   clf->fit(ds.x(), ds.y());
   const Matrix q = query_block(50);
   const std::vector<double> oracle = knn_full_sort_scores(
-      ds.x(), ds.y(), q, static_cast<std::size_t>(k), weights == "distance");
+      ds.x(), ds.y(), q, p, static_cast<std::size_t>(k), weights == "distance");
   for (const PredictKernel kernel : {PredictKernel::kFlat, PredictKernel::kReference}) {
     KernelGuard guard(kernel);
     expect_bits_equal(clf->predict_score(q), oracle,
-                      std::string("knn k=") + std::to_string(k) + " weights=" +
-                          weights + (kernel == PredictKernel::kFlat
-                                         ? " (flat)"
-                                         : " (reference)"));
+                      "knn p=" + std::to_string(p) + " k=" + std::to_string(k) +
+                          " weights=" + weights +
+                          (kernel == PredictKernel::kFlat ? " (flat)" : " (reference)"));
   }
+}
+
+std::string knn_selection_name(
+    const ::testing::TestParamInfo<std::tuple<double, int, const char*>>& info) {
+  return std::string("k") + std::to_string(std::get<1>(info.param)) + "_" +
+         std::get<2>(info.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SelectionStrategies, PredictKernelKnnSelection,
-    ::testing::Combine(::testing::Values(5, 40),
+    ::testing::Combine(::testing::Values(2.0), ::testing::Values(5, 40),
                        ::testing::Values("uniform", "distance")),
-    [](const ::testing::TestParamInfo<std::tuple<int, const char*>>& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
-    });
+    knn_selection_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Manhattan, PredictKernelKnnSelection,
+    ::testing::Combine(::testing::Values(1.0), ::testing::Values(5, 40),
+                       ::testing::Values("uniform", "distance")),
+    knn_selection_name);
 
 }  // namespace
 }  // namespace mlaas

@@ -33,6 +33,12 @@ long long read_int(std::istream& in) {
   return v;
 }
 
+std::size_t read_count(std::istream& in, const char* what) {
+  const long long n = read_int(in);
+  if (n < 0) throw std::runtime_error(std::string("load_model: negative ") + what);
+  return static_cast<std::size_t>(n);
+}
+
 void write_string(std::ostream& out, const std::string& s) {
   if (s.find_first_of(" \t\n") != std::string::npos) {
     throw std::invalid_argument("model_io: strings must not contain whitespace: " + s);
@@ -56,10 +62,7 @@ void write_vec(std::ostream& out, std::span<const double> v) {
 }
 
 std::vector<double> read_vec(std::istream& in) {
-  std::size_t n = 0;
-  in >> n;
-  check(in, "vec size");
-  std::vector<double> v(n);
+  std::vector<double> v(read_count(in, "vec size"));
   for (auto& x : v) in >> x;
   check(in, "vec data");
   return v;
@@ -72,10 +75,7 @@ void write_ivec(std::ostream& out, std::span<const int> v) {
 }
 
 std::vector<int> read_ivec(std::istream& in) {
-  std::size_t n = 0;
-  in >> n;
-  check(in, "ivec size");
-  std::vector<int> v(n);
+  std::vector<int> v(read_count(in, "ivec size"));
   for (auto& x : v) in >> x;
   check(in, "ivec data");
   return v;
@@ -93,9 +93,8 @@ void write_matrix(std::ostream& out, const Matrix& m) {
 }
 
 Matrix read_matrix(std::istream& in) {
-  std::size_t rows = 0, cols = 0;
-  in >> rows >> cols;
-  check(in, "matrix shape");
+  const std::size_t rows = read_count(in, "matrix rows");
+  const std::size_t cols = read_count(in, "matrix cols");
   Matrix m(rows, cols);
   for (double& v : m.data()) in >> v;
   check(in, "matrix data");

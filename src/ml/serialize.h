@@ -47,6 +47,8 @@ void write_vec(std::ostream& out, std::span<const double> v);
 std::vector<double> read_vec(std::istream& in);
 void write_ivec(std::ostream& out, std::span<const int> v);
 std::vector<int> read_ivec(std::istream& in);
+/// An element count; throws std::runtime_error naming `what` when negative.
+std::size_t read_count(std::istream& in, const char* what);
 void write_matrix(std::ostream& out, const Matrix& m);
 Matrix read_matrix(std::istream& in);
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "ml/tree/decision_tree.h"
 #include "ml/tree/trainer.h"
@@ -106,11 +108,29 @@ void BaggedTrees::save(std::ostream& out) const {
 
 void BaggedTrees::load(std::istream& in) {
   load_base(in);
-  members_.assign(static_cast<std::size_t>(model_io::read_int(in)), Member{});
-  for (auto& member : members_) {
+  const std::size_t count = model_io::read_count(in, "bagging member count");
+  members_.clear();
+  for (std::size_t m = 0; m < count; ++m) {
+    Member& member = members_.emplace_back();
     const auto features = model_io::read_ivec(in);
+    const auto reject = [m](const std::string& defect) {
+      throw std::runtime_error("load_model: bagging member " + std::to_string(m) + " " +
+                               defect);
+    };
+    for (const int column : features) {
+      if (column < 0) reject("feature map holds negative column " + std::to_string(column));
+    }
     member.features.assign(features.begin(), features.end());
     member.tree.load(in);
+    // An empty map means all columns; otherwise the flat walk reads
+    // feature_map[node.feature].
+    if (features.empty()) continue;
+    for (const TreeNode& node : member.tree.nodes()) {
+      if (node.feature >= 0 && static_cast<std::size_t>(node.feature) >= features.size()) {
+        reject("splits on feature " + std::to_string(node.feature) + " past its " +
+               std::to_string(features.size()) + "-column feature map");
+      }
+    }
   }
   rebuild_flat();
 }

@@ -109,8 +109,9 @@ void BoostedDecisionTrees::load(std::istream& in) {
   load_base(in);
   learning_rate_ = model_io::read_double(in);
   base_score_ = model_io::read_double(in);
-  trees_.assign(static_cast<std::size_t>(model_io::read_int(in)), TreeModel{});
-  for (auto& tree : trees_) tree.load(in);
+  const std::size_t count = model_io::read_count(in, "boosted_trees tree count");
+  trees_.clear();
+  for (std::size_t t = 0; t < count; ++t) trees_.emplace_back().load(in);
   rebuild_flat();
 }
 

@@ -97,8 +97,9 @@ void DecisionJungle::save(std::ostream& out) const {
 
 void DecisionJungle::load(std::istream& in) {
   load_base(in);
-  dags_.assign(static_cast<std::size_t>(model_io::read_int(in)), TreeModel{});
-  for (auto& dag : dags_) dag.load(in);
+  const std::size_t count = model_io::read_count(in, "decision_jungle dag count");
+  dags_.clear();
+  for (std::size_t t = 0; t < count; ++t) dags_.emplace_back().load(in);
   rebuild_flat();
 }
 

@@ -94,8 +94,9 @@ void RandomForest::save(std::ostream& out) const {
 
 void RandomForest::load(std::istream& in) {
   load_base(in);
-  trees_.assign(static_cast<std::size_t>(model_io::read_int(in)), TreeModel{});
-  for (auto& tree : trees_) tree.load(in);
+  const std::size_t count = model_io::read_count(in, "random_forest tree count");
+  trees_.clear();
+  for (std::size_t t = 0; t < count; ++t) trees_.emplace_back().load(in);
   rebuild_flat();
 }
 

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "linalg/vector_ops.h"
@@ -212,8 +213,9 @@ class ReferenceEngine final : public SplitEngine {
       for (std::size_t i = p.start; i < p.end; ++i) {
         sorted_buf_.emplace_back(x_(indices[i], f), indices[i]);
       }
-      std::sort(sorted_buf_.begin(), sorted_buf_.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+      // (value, row) order, like the fast builder's presort: summation order
+      // inside a tie group decides real-valued MSE folds.
+      std::sort(sorted_buf_.begin(), sorted_buf_.end());
       if (sorted_buf_.front().first == sorted_buf_.back().first) continue;  // constant
 
       if (opt_.random_splits > 0) {
@@ -269,6 +271,41 @@ class ReferenceEngine final : public SplitEngine {
   std::vector<std::pair<double, std::size_t>> sorted_buf_;  // (value, index)
 };
 
+/// Division-free screen in front of consider_threshold for the full scan
+/// (DESIGN.md "Screened split scan").  For MSE (k = 1) and Gini (k = 2) the
+/// real-arithmetic gain of a candidate satisfies
+///
+///   gain <= base + k * S / n,   S = s_l^2 / n_l + s_r^2 / n_r,
+///
+/// with base = parent_imp - sumsq / n (MSE) or parent_imp - 2 sum / n (Gini),
+/// because impurity's max(0, .) and clamp only raise a child's impurity above
+/// its quadratic form.  The screen reads the same floating-point inputs as
+/// consider_threshold (left.n/sum/sumsq and the parent stats), so only the
+/// rounding of the two formulas separates them, and `slack` exceeds that by
+/// orders of magnitude: a candidate with S <= cut(best.gain) provably cannot
+/// beat best.gain + 1e-12, and skipping it leaves `best` unchanged.
+template <SplitCriterion C>
+struct GainScreen {
+  static constexpr double k = C == SplitCriterion::kGini ? 2.0 : 1.0;
+
+  GainScreen(const NodeStats& s, double parent_imp)
+      : base(C == SplitCriterion::kGini ? parent_imp - 2.0 * s.sum / s.n
+                                        : parent_imp - s.sumsq / s.n),
+        slack(1e-7 * (std::abs(parent_imp) + std::abs(base) +
+                      2.0 * k * (std::abs(s.sumsq) + std::abs(s.sum)) / s.n)),
+        n_over_k(s.n / k) {}
+
+  /// Candidates with S <= cut(best_gain) cannot win.  A non-finite base or
+  /// slack (NaN/Inf targets, sums near overflow) makes t non-finite, and
+  /// -inf skips nothing: every candidate takes the exact path.
+  double cut(double best_gain) const {
+    const double t = (best_gain + 1e-12 - slack - base) * n_over_k;
+    return std::isfinite(t) ? t : -std::numeric_limits<double>::infinity();
+  }
+
+  double base, slack, n_over_k;
+};
+
 /// Presorted split search over a TreeWorkspace: no per-node sort, linear
 /// scans over gathered scratch, tandem order maintenance on partition.
 class FastEngine final : public SplitEngine {
@@ -280,8 +317,39 @@ class FastEngine final : public SplitEngine {
   std::size_t n_features() const override { return ws_.view_cols(); }
 
   BestSplit find_best_split(const PendingNode& p, Rng& rng) override {
+    switch (opt_.criterion) {
+      case SplitCriterion::kGini:
+        return best_split_as<SplitCriterion::kGini>(p, rng);
+      case SplitCriterion::kEntropy:
+        return best_split_as<SplitCriterion::kEntropy>(p, rng);
+      case SplitCriterion::kMse:
+        return best_split_as<SplitCriterion::kMse>(p, rng);
+    }
+    return {};
+  }
+
+  std::size_t partition(std::size_t start, std::size_t end,
+                        const BestSplit& split) override {
+    const double* col = ws_.column(static_cast<std::size_t>(split.feature));
+    auto mid_it = std::partition(
+        indices.begin() + static_cast<std::ptrdiff_t>(start),
+        indices.begin() + static_cast<std::ptrdiff_t>(end),
+        [&](std::size_t idx) { return col[idx] <= split.threshold; });
+    const std::size_t mid = static_cast<std::size_t>(mid_it - indices.begin());
+    if (mid == start || mid == end) return mid;  // degenerate: orders untouched
+
+    auto& flags = ws_.goes_left();
+    for (std::size_t i = start; i < mid; ++i) flags[indices[i]] = 1;
+    for (std::size_t i = mid; i < end; ++i) flags[indices[i]] = 0;
+    ws_.tandem_partition(start, mid, end);
+    return mid;
+  }
+
+ private:
+  template <SplitCriterion C>
+  BestSplit best_split_as(const PendingNode& p, Rng& rng) {
     BestSplit best;
-    const double parent_imp = impurity(p.stats, opt_.criterion);
+    const double parent_imp = impurity(p.stats, C);
     const std::size_t m = p.end - p.start;
     const std::size_t d = ws_.view_cols();
 
@@ -321,61 +389,70 @@ class FastEngine final : public SplitEngine {
             left.sumsq += t * t;
             if (use_hess_) left.hess += hesss[i];
           }
-          consider_threshold(threshold, left, p, parent_imp, opt_.criterion,
-                             opt_.min_samples_leaf, f, best);
+          consider_threshold(threshold, left, p, parent_imp, C, opt_.min_samples_leaf, f,
+                             best);
         }
       } else {
-        // Single fused pass: accumulate row i-1 into the left stats, then
-        // evaluate the boundary before row i whenever the value changes.
-        // Same accumulation and consider_threshold sequence as the gathered
-        // form (and as the reference scan), one memory pass instead of three.
-        NodeStats left;
-        double prev = col[ord[0]];
-        {
-          const std::uint32_t pos = ord[0];
-          const double t = targets_[pos];
-          left.n += 1.0;
-          left.sum += t;
-          left.sumsq += t * t;
-          if (use_hess_) left.hess += hessians_[pos];
-        }
-        for (std::size_t i = 1; i < m; ++i) {
-          const std::uint32_t pos = ord[i];
-          const double v = col[pos];
-          if (v != prev) {
-            consider_threshold((prev + v) / 2.0, left, p, parent_imp,
-                               opt_.criterion, opt_.min_samples_leaf, f, best);
-            prev = v;
-          }
-          const double t = targets_[pos];
-          left.n += 1.0;
-          left.sum += t;
-          left.sumsq += t * t;
-          if (use_hess_) left.hess += hessians_[pos];
-        }
+        full_scan<C>(col, ord, p, parent_imp, f, best);
       }
     }
     return best;
   }
 
-  std::size_t partition(std::size_t start, std::size_t end,
-                        const BestSplit& split) override {
-    const double* col = ws_.column(static_cast<std::size_t>(split.feature));
-    auto mid_it = std::partition(
-        indices.begin() + static_cast<std::ptrdiff_t>(start),
-        indices.begin() + static_cast<std::ptrdiff_t>(end),
-        [&](std::size_t idx) { return col[idx] <= split.threshold; });
-    const std::size_t mid = static_cast<std::size_t>(mid_it - indices.begin());
-    if (mid == start || mid == end) return mid;  // degenerate: orders untouched
+  /// Single fused pass: accumulate row i-1 into the left stats, then
+  /// evaluate the boundary before row i whenever the value changes.  Same
+  /// accumulation and consider_threshold sequence as the reference scan,
+  /// minus candidates that provably cannot win: a child below
+  /// min_samples_leaf, or (MSE and Gini; entropy has no quadratic bound) a
+  /// gain bound that cannot beat the running best.  Hessians are not folded:
+  /// impurity never reads them.
+  template <SplitCriterion C>
+  void full_scan(const double* col, const std::uint32_t* ord, const PendingNode& p,
+                 double parent_imp, std::size_t f, BestSplit& best) {
+    constexpr bool kScreened = C != SplitCriterion::kEntropy;
+    const std::size_t m = p.end - p.start;
+    const std::size_t min_leaf = opt_.min_samples_leaf;
+    const std::size_t last = m >= min_leaf ? m - min_leaf : 0;
+    const double* inv = ws_.reciprocals();
+    const GainScreen<C> screen(p.stats, parent_imp);
+    double cut = screen.cut(best.gain);
 
-    auto& flags = ws_.goes_left();
-    for (std::size_t i = start; i < mid; ++i) flags[indices[i]] = 1;
-    for (std::size_t i = mid; i < end; ++i) flags[indices[i]] = 0;
-    ws_.tandem_partition(start, mid, end);
-    return mid;
+    NodeStats left;
+    double prev = col[ord[0]];
+    {
+      const double t = targets_[ord[0]];
+      left.n += 1.0;
+      left.sum += t;
+      left.sumsq += t * t;
+    }
+    for (std::size_t i = 1; i < m; ++i) {
+      const std::uint32_t pos = ord[i];
+      const double v = col[pos];
+      if (v != prev) {
+        // n_l = i and n_r = m - i.  consider_threshold rejects a child below
+        // min_samples_leaf without touching `best`, so those boundaries are
+        // skipped outright; a NaN proxy fails `s <= cut` and is evaluated.
+        bool exact = i >= min_leaf && i <= last;
+        if constexpr (kScreened) {
+          const double right_sum = p.stats.sum - left.sum;
+          const double s =
+              left.sum * left.sum * inv[i] + right_sum * right_sum * inv[m - i];
+          exact = exact && !(s <= cut);
+        }
+        if (exact) {
+          consider_threshold((prev + v) / 2.0, left, p, parent_imp, C,
+                             opt_.min_samples_leaf, f, best);
+          if constexpr (kScreened) cut = screen.cut(best.gain);
+        }
+        prev = v;
+      }
+      const double t = targets_[pos];
+      left.n += 1.0;
+      left.sum += t;
+      left.sumsq += t * t;
+    }
   }
 
- private:
   TreeWorkspace& ws_;
   std::vector<std::size_t> feat_scratch_;
 };
@@ -614,6 +691,12 @@ void TreeWorkspace::bind(const Matrix& x, std::span<const std::size_t> rows,
 
   goes_left_.resize(view_rows_);
   part_right_.resize(view_rows_ + 1);
+  // 1/j depends only on j, so the table only ever grows.
+  if (reciprocal_.size() < view_rows_ + 1) {
+    std::size_t j = std::max<std::size_t>(reciprocal_.size(), 1);
+    reciprocal_.resize(view_rows_ + 1);
+    for (; j <= view_rows_; ++j) reciprocal_[j] = 1.0 / static_cast<double>(j);
+  }
   value_scratch_.resize(view_rows_);
   target_scratch_.resize(view_rows_);
   hessian_scratch_.resize(view_rows_);

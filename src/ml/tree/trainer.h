@@ -10,7 +10,10 @@
 //       across node splits by a stable tandem partition over a left/right
 //       flag buffer,
 //   (c) gathered value/target/hessian scratch buffers so split scans are
-//       branch-light linear passes.
+//       branch-light linear passes,
+//   (d) for MSE and Gini, a division-free upper bound on each candidate's
+//       gain that skips the exact evaluation of candidates which provably
+//       cannot beat the running best (DESIGN.md "Screened split scan").
 //
 // The workspace is allocated once and reused across all trees of an
 // ensemble.  For ensembles that train every tree on the same matrix
@@ -161,6 +164,8 @@ class TreeWorkspace {
   void tandem_partition(std::size_t start, std::size_t mid, std::size_t end);
 
   std::vector<std::uint8_t>& goes_left() { return goes_left_; }
+  /// reciprocals()[j] == 1.0 / j for 1 <= j <= view_rows().
+  const double* reciprocals() const { return reciprocal_.data(); }
   double* value_scratch() { return value_scratch_.data(); }
   double* target_scratch() { return target_scratch_.data(); }
   double* hessian_scratch() { return hessian_scratch_.data(); }
@@ -180,6 +185,7 @@ class TreeWorkspace {
   std::vector<std::uint8_t> goes_left_;   // per-position split side flags
   std::vector<std::uint32_t> part_right_;  // tandem right spill buffer
   std::vector<double> value_scratch_, target_scratch_, hessian_scratch_;
+  std::vector<double> reciprocal_;        // 1/j: the screened scan's 1/n_l, 1/n_r
   // Bootstrap order derivation scratch (counting pass).
   std::vector<std::uint32_t> row_count_, row_offset_, row_positions_;
 };

@@ -4,6 +4,9 @@
 #include "ml/tree/trainer.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace mlaas {
 
@@ -93,14 +96,46 @@ void TreeModel::save(std::ostream& out) const {
 }
 
 void TreeModel::load(std::istream& in) {
-  nodes_.assign(static_cast<std::size_t>(model_io::read_int(in)), TreeNode{});
-  for (auto& node : nodes_) {
-    node.feature = static_cast<int>(model_io::read_int(in));
+  const std::size_t count = model_io::read_count(in, "tree node count");
+  if (count > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    throw std::runtime_error("load_model: tree node count " + std::to_string(count) +
+                             " exceeds the int node index range");
+  }
+  // Every walk indexes children without bounds checks, and the flat walk
+  // treats a self-loop as a leaf.  Training appends children after their
+  // parent, so a split node must link forward, inside the array: that
+  // rules out out-of-range reads and cycles alike.
+  const auto child = [&](std::size_t i, long long c) {
+    if (c <= static_cast<long long>(i) || static_cast<std::size_t>(c) >= count) {
+      throw std::runtime_error("load_model: tree node " + std::to_string(i) + " has child " +
+                               std::to_string(c) + " outside (" + std::to_string(i) + ", " +
+                               std::to_string(count) + ")");
+    }
+    return static_cast<int>(c);
+  };
+  nodes_.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    TreeNode node;
+    const long long feature = model_io::read_int(in);
     node.threshold = model_io::read_double(in);
-    node.left = static_cast<int>(model_io::read_int(in));
-    node.right = static_cast<int>(model_io::read_int(in));
+    const long long left = model_io::read_int(in);
+    const long long right = model_io::read_int(in);
     node.value = model_io::read_double(in);
     node.n_samples = static_cast<std::uint32_t>(model_io::read_int(in));
+    if (feature < -1 || feature > std::numeric_limits<int>::max()) {
+      throw std::runtime_error("load_model: tree node " + std::to_string(i) +
+                               " has feature " + std::to_string(feature) +
+                               " (a leaf is -1)");
+    }
+    node.feature = static_cast<int>(feature);
+    if (node.feature >= 0) {
+      node.left = child(i, left);
+      node.right = child(i, right);
+    } else {  // a leaf's links are never followed
+      node.left = static_cast<int>(left);
+      node.right = static_cast<int>(right);
+    }
+    nodes_.push_back(node);
   }
 }
 

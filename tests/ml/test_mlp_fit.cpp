@@ -36,8 +36,12 @@ Dataset dataset(std::size_t n_features, std::uint64_t seed) {
   return make_classification(opt, seed);
 }
 
-class MlpFitOracle
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*, int>> {};
+// Held as std::string so GetParam() prints the text rather than the addresses
+// of string literals, which change from run to run and would change the test
+// names ctest lists.
+using MlpConfig = std::tuple<std::string, std::string, int>;
+
+class MlpFitOracle : public ::testing::TestWithParam<MlpConfig> {};
 
 TEST_P(MlpFitOracle, SavedModelBytesMatchReferenceLoop) {
   const auto& [activation, solver, layers] = GetParam();
@@ -49,8 +53,8 @@ TEST_P(MlpFitOracle, SavedModelBytesMatchReferenceLoop) {
     SCOPED_TRACE("d=" + std::to_string(c.features) + " hidden=" + std::to_string(c.hidden));
     const Dataset ds = dataset(c.features, 11 + c.features);
     ParamMap params;
-    params.set("activation", std::string(activation));
-    params.set("solver", std::string(solver));
+    params.set("activation", activation);
+    params.set("solver", solver);
     params.set("layers", static_cast<long long>(layers));
     params.set("hidden", c.hidden);
     const std::string got = model_bytes(params, 17, ds.x(), ds.y());
@@ -62,8 +66,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllConfigs, MlpFitOracle,
     ::testing::Combine(::testing::Values("relu", "tanh", "logistic"),
                        ::testing::Values("adam", "sgd"), ::testing::Values(1, 2)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, const char*, int>>& info) {
-      return std::string(std::get<0>(info.param)) + "_" + std::get<1>(info.param) + "_" +
+    [](const ::testing::TestParamInfo<MlpConfig>& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_" +
              std::to_string(std::get<2>(info.param)) + "layers";
     });
 

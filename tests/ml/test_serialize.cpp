@@ -192,6 +192,119 @@ TEST(Serialize, MlpShortFeatureStandardizationRejected) {
   expect_rejected(mlp_text("relu", mlp_layers(), {0, 0}, {1}), "mean/std");
 }
 
+// One stump in TreeModel::save's layout: x0 <= 0.5 -> 0.0, else 1.0.
+struct StumpNode {
+  long long feature;
+  long long left;
+  long long right;
+  double value;
+};
+
+std::string tree_text(const std::vector<StumpNode>& nodes, long long count) {
+  std::ostringstream out;
+  model_io::write_int(out, count);
+  for (const StumpNode& node : nodes) {
+    model_io::write_int(out, node.feature);
+    model_io::write_double(out, 0.5);
+    model_io::write_int(out, node.left);
+    model_io::write_int(out, node.right);
+    model_io::write_double(out, node.value);
+    model_io::write_int(out, 2);
+  }
+  return out.str();
+}
+
+std::vector<StumpNode> stump() { return {{0, 1, 2, 0.5}, {-1, -1, -1, 0.0}, {-1, -1, -1, 1.0}}; }
+
+std::string decision_tree_text(const std::vector<StumpNode>& nodes) {
+  return "mlaas-model 1\ndecision_tree\n0 0\n" +
+         tree_text(nodes, static_cast<long long>(nodes.size()));
+}
+
+TEST(Serialize, TreeHandBuiltModelLoads) {
+  // The well-formed base every tree rejection below mutates in one place.
+  std::stringstream in(decision_tree_text(stump()));
+  const ClassifierPtr clf = load_model(in);
+  EXPECT_EQ(clf->predict(Matrix{{0.0}, {1.0}}), (std::vector<int>{0, 1}));
+}
+
+TEST(Serialize, TreeNodeCountOutOfRangeRejected) {
+  const std::string head = "mlaas-model 1\ndecision_tree\n0 0\n";
+  expect_rejected(head + tree_text({}, -5), "negative tree node count");
+  // Child links are ints, so a larger node array is not addressable.
+  expect_rejected(head + tree_text(stump(), 3000000000ll), "int node index range");
+}
+
+TEST(Serialize, TreeChildOutOfRangeRejected) {
+  auto nodes = stump();
+  nodes[0].left = 999999;
+  expect_rejected(decision_tree_text(nodes), "child 999999");
+}
+
+TEST(Serialize, TreeSelfLoopRejected) {
+  // The flat walk would park on the root as if it were a leaf.
+  auto nodes = stump();
+  nodes[0].left = 0;
+  expect_rejected(decision_tree_text(nodes), "child 0 outside (0, 3)");
+}
+
+TEST(Serialize, TreeBackwardLinkRejected) {
+  // Node 1 splits back to the root: a cycle.
+  std::vector<StumpNode> nodes = {{0, 1, 2, 0.5}, {0, 0, 2, 0.5}, {-1, -1, -1, 1.0}};
+  expect_rejected(decision_tree_text(nodes), "tree node 1 has child 0");
+}
+
+TEST(Serialize, TreeFeatureBelowLeafMarkerRejected) {
+  auto nodes = stump();
+  nodes[1].feature = -2;
+  expect_rejected(decision_tree_text(nodes), "feature -2");
+}
+
+TEST(Serialize, EnsembleNegativeTreeCountRejected) {
+  const std::string head = "mlaas-model 1\n";
+  expect_rejected(head + "random_forest\n0 0\n-1\n", "negative random_forest tree count");
+  expect_rejected(head + "boosted_trees\n0 0\n0.2\n0\n-1\n",
+                  "negative boosted_trees tree count");
+  expect_rejected(head + "decision_jungle\n0 0\n-1\n", "negative decision_jungle dag count");
+  expect_rejected(head + "bagging\n0 0\n-1\n", "negative bagging member count");
+}
+
+// A one-member bagging model whose member was trained on columns `features`.
+std::string bagging_text(const std::vector<int>& features, const std::vector<StumpNode>& nodes) {
+  std::ostringstream out;
+  out << "mlaas-model 1\nbagging\n0 0\n";
+  model_io::write_int(out, 1);
+  model_io::write_ivec(out, features);
+  return out.str() + tree_text(nodes, static_cast<long long>(nodes.size()));
+}
+
+TEST(Serialize, BaggingHandBuiltModelLoads) {
+  std::stringstream in(bagging_text({1}, stump()));
+  const ClassifierPtr clf = load_model(in);
+  EXPECT_EQ(clf->predict(Matrix{{9.0, 0.0}, {9.0, 1.0}}), (std::vector<int>{0, 1}));
+}
+
+TEST(Serialize, BaggingFeaturePastMapRejected) {
+  auto nodes = stump();
+  nodes[0].feature = 1;
+  expect_rejected(bagging_text({3}, nodes), "splits on feature 1 past its 1-column feature map");
+}
+
+TEST(Serialize, BaggingNegativeMapColumnRejected) {
+  expect_rejected(bagging_text({-3}, stump()), "negative column -3");
+}
+
+TEST(ModelIo, NegativeSizesRejected) {
+  for (const char* text : {"-2 1 2", "-1 4\n"}) {
+    std::stringstream vec(text);
+    EXPECT_THROW(model_io::read_vec(vec), std::runtime_error) << text;
+    std::stringstream ivec(text);
+    EXPECT_THROW(model_io::read_ivec(ivec), std::runtime_error) << text;
+    std::stringstream matrix(text);
+    EXPECT_THROW(model_io::read_matrix(matrix), std::runtime_error) << text;
+  }
+}
+
 TEST(ModelIo, PrimitivesRoundTrip) {
   std::stringstream buffer;
   model_io::write_double(buffer, 0.1234567890123456789);

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -187,6 +190,127 @@ TEST(TreeTrainerEquivalence, TiedFeatureValues) {
                             "tied criterion=" +
                                 std::to_string(static_cast<int>(criterion)));
   }
+}
+
+// One seeded adversarial tree-fit problem: sizes down to n = 2, tied and
+// tie-free features, every criterion with targets from every regime the
+// split scan's arithmetic must survive, optional hessians and random caps.
+struct FuzzCase {
+  Matrix x;
+  std::vector<double> targets;
+  std::vector<double> hessians;
+  TreeOptions opt;
+  std::string label;
+};
+
+FuzzCase adversarial_case(std::uint64_t seed) {
+  Rng rng(derive_seed(seed, "tree-trainer-fuzz"));
+  FuzzCase c;
+  const std::size_t n = 2 + rng.index(300);
+  const std::size_t d = 1 + rng.index(6);
+  const bool tied = rng.chance(0.5);
+  const double grid = static_cast<double>(1 + rng.index(4));
+  c.x = Matrix(n, d);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t f = 0; f < d; ++f) {
+      c.x(r, f) = tied ? std::floor(rng.normal() * grid) / grid : rng.normal();
+    }
+  }
+
+  static constexpr const char* kRegimes[] = {
+      "labels", "gradients", "scale_2^100", "scale_2^-100", "offset_1e8",
+      "outside_01", "outlier", "non_finite", "small_ints"};
+  const std::size_t regime = rng.index(std::size(kRegimes));
+  c.targets.resize(n);
+  for (double& t : c.targets) {
+    switch (regime) {
+      case 0: t = rng.chance(0.4) ? 1.0 : 0.0; break;
+      case 1: t = (rng.chance(0.5) ? 1.0 : 0.0) - 1.0 / (1.0 + std::exp(-rng.normal())); break;
+      case 2: t = std::ldexp(rng.normal(), 100); break;
+      case 3: t = std::ldexp(rng.normal(), -100); break;
+      case 4: t = 1e8 + 1e-6 * rng.normal(); break;
+      case 5: t = rng.uniform(-1.5, 2.5); break;
+      case 6: t = rng.chance(0.5) ? 1.0 : 0.0; break;
+      case 7: t = rng.normal(); break;
+      default: t = static_cast<double>(rng.integer(-2, 3)); break;
+    }
+  }
+  if (regime == 6) c.targets[rng.index(n)] = rng.chance(0.5) ? 1e12 : -1e12;
+  if (regime == 7) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf};
+    c.targets[rng.index(n)] = bad[rng.index(3)];
+  }
+  if (rng.chance(0.3)) {
+    c.hessians.resize(n);
+    for (double& h : c.hessians) h = rng.uniform(0.01, 1.0);
+  }
+
+  c.opt.criterion = static_cast<SplitCriterion>(rng.index(3));
+  c.opt.min_samples_leaf = 1 + rng.index(5);
+  c.opt.max_features = rng.chance(0.5) ? 0 : 1 + rng.index(d);
+  c.opt.max_depth = rng.chance(0.3) ? 0 : 1 + rng.index(8);
+  c.opt.max_nodes = rng.chance(0.3) ? 3 + 2 * rng.index(15) : 0;
+  c.opt.max_width = rng.chance(0.1) ? 1 + rng.index(4) : 0;
+  c.opt.random_splits = rng.chance(0.1) ? static_cast<int>(1 + rng.index(6)) : 0;
+  c.opt.seed = rng.next();
+  c.label = "case " + std::to_string(seed) + ": n=" + std::to_string(n) +
+            " d=" + std::to_string(d) + (tied ? " tied" : " tie-free") +
+            " targets=" + kRegimes[regime] +
+            " criterion=" + std::to_string(static_cast<int>(c.opt.criterion)) +
+            (c.hessians.empty() ? "" : " hessians");
+  return c;
+}
+
+bool same_bits(double a, double b) {
+  std::uint64_t x = 0, y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+// Node for node, bit for bit (NaN leaf values included).
+bool same_nodes(const TreeModel& a, const TreeModel& b) {
+  if (a.node_count() != b.node_count()) return false;
+  for (std::size_t i = 0; i < a.node_count(); ++i) {
+    const TreeNode& p = a.nodes()[i];
+    const TreeNode& q = b.nodes()[i];
+    if (p.feature != q.feature || !same_bits(p.threshold, q.threshold) ||
+        p.left != q.left || p.right != q.right || !same_bits(p.value, q.value) ||
+        p.n_samples != q.n_samples) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(TreeTrainerEquivalence, AdversarialFuzzMatchesReference) {
+  // Cancellation (1e8 offset, 2^100 scales, one outlier), non-[0,1] Gini
+  // targets and NaN/Inf stats exercise the split scan's screen and the
+  // summation order inside tie groups; both builders must agree exactly.
+  constexpr std::uint64_t kCases = 2000;
+  int failures = 0;
+  std::size_t split_trees = 0;
+  for (std::uint64_t seed = 0; seed < kCases && failures < 5; ++seed) {
+    const FuzzCase c = adversarial_case(seed);
+    TreeModel fast;
+    {
+      BuilderGuard guard(TreeBuilder::kFast);
+      fast.fit(c.x, c.targets, c.hessians, c.opt);
+    }
+    TreeModel reference;
+    ReferenceTreeBuilder::fit(reference, c.x, c.targets, c.hessians, c.opt);
+    if (!same_nodes(fast, reference)) {
+      ADD_FAILURE() << c.label << "\nfast:\n"
+                    << serialized(fast) << "reference:\n"
+                    << serialized(reference);
+      ++failures;
+    }
+    split_trees += fast.node_count() > 1 ? 1 : 0;
+  }
+  // Guard against a generator that stops producing splits (2^-100 targets,
+  // clamped Gini/entropy means and NaN stats legitimately leave a root leaf).
+  EXPECT_GT(split_trees, kCases / 3);
 }
 
 // Every tree-family classifier, fitted twice with the builder toggled:

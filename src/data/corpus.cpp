@@ -187,12 +187,15 @@ std::vector<std::pair<Domain, std::size_t>> corpus_domain_plan(std::size_t n_dat
     plan.emplace_back(domain, scaled);
     assigned += scaled;
   }
-  // Adjust the largest bucket to hit the exact total.
-  if (assigned != n_datasets) {
-    const auto diff = static_cast<std::ptrdiff_t>(n_datasets) -
-                      static_cast<std::ptrdiff_t>(assigned);
-    plan.front().second = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(plan.front().second) + diff);
+  // Adjust the largest bucket to hit the exact total.  Below 6 datasets the
+  // one-per-domain floor overshoots by more than that bucket holds, so the
+  // rest of the excess comes out of the next buckets in order.
+  if (assigned < n_datasets) plan.front().second += n_datasets - assigned;
+  std::size_t excess = assigned > n_datasets ? assigned - n_datasets : 0;
+  for (auto& bucket : plan) {
+    const std::size_t take = std::min(bucket.second, excess);
+    bucket.second -= take;
+    excess -= take;
   }
   return plan;
 }

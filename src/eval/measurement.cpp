@@ -414,21 +414,6 @@ bool parse_scheduler_row(const std::string& line, SchedulerStats* s) {
   return true;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void CampaignReport::save_tsv(const std::string& path) const {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace mlaas {
 
@@ -99,32 +101,124 @@ double spearman(std::span<const double> a, std::span<const double> b) {
   return pearson(ra, rb);
 }
 
-double kendall(std::span<const double> a, std::span<const double> b) {
-  assert(a.size() == b.size());
+namespace {
+
+/// The four pair counts Kendall's tau-b is built from.  A pair tied in both
+/// a and b is in none of them.
+struct KendallCounts {
+  long long concordant = 0;
+  long long discordant = 0;
+  long long ties_a = 0;  // tied in a only
+  long long ties_b = 0;  // tied in b only
+};
+
+/// Classifies every pair by the signs of a[i] - a[j] and b[i] - b[j].
+/// O(n^2); kept for non-finite inputs, where a sort cannot reproduce it.
+KendallCounts pairwise_kendall_counts(std::span<const double> a, std::span<const double> b) {
   const std::size_t n = a.size();
-  if (n < 2) return 0.0;
-  long long concordant = 0, discordant = 0, ties_a = 0, ties_b = 0;
+  KendallCounts c;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double da = a[i] - a[j];
       const double db = b[i] - b[j];
       if (da == 0.0 && db == 0.0) continue;
       if (da == 0.0) {
-        ++ties_a;
+        ++c.ties_a;
       } else if (db == 0.0) {
-        ++ties_b;
+        ++c.ties_b;
       } else if ((da > 0) == (db > 0)) {
-        ++concordant;
+        ++c.concordant;
       } else {
-        ++discordant;
+        ++c.discordant;
       }
     }
   }
-  const double n0 = static_cast<double>(concordant + discordant);
+  return c;
+}
+
+/// Pairs within runs of equal values: sum of t(t-1)/2 over the runs of the
+/// sorted range [first, last) under `equal`.
+template <typename It, typename Equal>
+long long tied_pairs(It first, It last, Equal equal) {
+  long long pairs = 0;
+  while (first != last) {
+    It run_end = first + 1;
+    while (run_end != last && equal(*first, *run_end)) ++run_end;
+    const auto t = static_cast<long long>(run_end - first);
+    pairs += t * (t - 1) / 2;
+    first = run_end;
+  }
+  return pairs;
+}
+
+/// Knight's O(n log n) counts.  Requires finite inputs: then x - y == 0 iff
+/// x == y (gradual underflow) and x - y > 0 iff x > y (an overflow to +-Inf
+/// keeps the sign), so comparisons classify every pair exactly as the pair
+/// walk's subtractions do.
+KendallCounts sorted_kendall_counts(std::span<const double> a, std::span<const double> b) {
+  const std::size_t n = a.size();
+  std::vector<std::pair<double, double>> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = {a[i], b[i]};
+  std::sort(rows.begin(), rows.end());
+  const long long tied_a = tied_pairs(rows.begin(), rows.end(), [](const auto& x, const auto& y) {
+    return x.first == y.first;
+  });
+  const long long tied_ab = tied_pairs(rows.begin(), rows.end(), std::equal_to<>());
+
+  // With rows in (a, b) order, a pair is discordant iff its b values are
+  // strictly inverted: within a run of equal a, b ascends.  Count the
+  // strict inversions with a bottom-up merge sort of the b sequence.
+  std::vector<double> seq(n), merged(n);
+  for (std::size_t i = 0; i < n; ++i) seq[i] = rows[i].second;
+  long long inversions = 0;
+  for (std::size_t width = 1; width < n; width *= 2) {
+    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
+      const std::size_t mid = std::min(lo + width, n);
+      const std::size_t hi = std::min(lo + 2 * width, n);
+      std::size_t i = lo, j = mid, k = lo;
+      while (i < mid && j < hi) {
+        if (seq[j] < seq[i]) {
+          inversions += static_cast<long long>(mid - i);
+          merged[k++] = seq[j++];
+        } else {
+          merged[k++] = seq[i++];
+        }
+      }
+      while (i < mid) merged[k++] = seq[i++];
+      while (j < hi) merged[k++] = seq[j++];
+    }
+    seq.swap(merged);
+  }
+  const long long tied_b = tied_pairs(seq.begin(), seq.end(), std::equal_to<>());
+
+  const auto pairs = static_cast<long long>(n) * static_cast<long long>(n - 1) / 2;
+  KendallCounts c;
+  c.discordant = inversions;
+  c.ties_a = tied_a - tied_ab;
+  c.ties_b = tied_b - tied_ab;
+  c.concordant = pairs - tied_a - tied_b + tied_ab - inversions;
+  return c;
+}
+
+bool all_finite(std::span<const double> v) {
+  return std::all_of(v.begin(), v.end(), [](double x) { return std::isfinite(x); });
+}
+
+}  // namespace
+
+double kendall(std::span<const double> a, std::span<const double> b) {
+  assert(a.size() == b.size());
+  const std::size_t n = a.size();
+  if (n < 2) return 0.0;
+  // NaN breaks the strict weak order a sort needs, and the pair walk does
+  // not treat equal infinities as ties (Inf - Inf is NaN).
+  const KendallCounts c = all_finite(a) && all_finite(b) ? sorted_kendall_counts(a, b)
+                                                         : pairwise_kendall_counts(a, b);
+  const double n0 = static_cast<double>(c.concordant + c.discordant);
   const double denom =
-      std::sqrt((n0 + static_cast<double>(ties_a)) * (n0 + static_cast<double>(ties_b)));
+      std::sqrt((n0 + static_cast<double>(c.ties_a)) * (n0 + static_cast<double>(c.ties_b)));
   if (denom == 0.0) return 0.0;
-  return static_cast<double>(concordant - discordant) / denom;
+  return static_cast<double>(c.concordant - c.discordant) / denom;
 }
 
 double chi_squared(std::span<const double> feature, std::span<const int> labels) {

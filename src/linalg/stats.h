@@ -32,7 +32,8 @@ std::vector<double> fractional_ranks(std::span<const double> v);
 double pearson(std::span<const double> a, std::span<const double> b);
 /// Spearman rank correlation.
 double spearman(std::span<const double> a, std::span<const double> b);
-/// Kendall tau-b rank correlation (O(n^2), fine at feature-scoring sizes).
+/// Kendall tau-b rank correlation.  O(n log n) on finite inputs; inputs
+/// holding NaN or +-Inf take an O(n^2) pair walk.
 double kendall(std::span<const double> a, std::span<const double> b);
 
 /// Chi-squared statistic between a non-negative feature and binary labels

@@ -158,4 +158,13 @@ TransformerPtr make_feature_step(const std::string& name) {
   return make_scaler(name);
 }
 
+FittedFeatureStep fit_feature_step(const std::string& name, const Matrix& x,
+                                   const std::vector<int>& y) {
+  TransformerPtr step = make_feature_step(name);
+  if (step == nullptr) throw std::invalid_argument("fit_feature_step: no step named " + name);
+  step->fit(x, y);
+  auto train_x = std::make_shared<const Matrix>(step->transform(x));
+  return {std::move(step), std::move(train_x)};
+}
+
 }  // namespace mlaas

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,5 +61,16 @@ class FisherLdaExtractor final : public Transformer {
 /// make_scaler), "filter_<score>" (SelectKBest), "fisher_lda", and "none"
 /// (returns nullptr).
 TransformerPtr make_feature_step(const std::string& name);
+
+/// A fitted feature step and its transform of the matrix it was fitted on.
+struct FittedFeatureStep {
+  std::shared_ptr<const Transformer> step;
+  std::shared_ptr<const Matrix> train_x;
+};
+
+/// make_feature_step(name), fitted on (x, y), plus its transform of x.
+/// Throws std::invalid_argument for an unknown name or "none".
+FittedFeatureStep fit_feature_step(const std::string& name, const Matrix& x,
+                                   const std::vector<int>& y);
 
 }  // namespace mlaas

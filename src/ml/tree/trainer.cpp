@@ -510,61 +510,57 @@ thread_local TrainContext* t_active_context = nullptr;
 /// cap only guards pathological callers from unbounded column-cache memory.
 constexpr std::size_t kMaxContextEntries = 16;
 
-/// Full content hash of a matrix (splitmix64 over the raw double bits plus
-/// the dimensions).  Collision-resistant enough that a stale cache entry
-/// whose address was reused by different data is detected in practice; the
-/// dimensions are mixed in so a truncated reuse cannot alias.
-std::uint64_t matrix_content_hash(const Matrix& x) {
-  std::uint64_t state = x.rows() * 0x9e3779b97f4a7c15ull + x.cols();
+/// splitmix64 chain over the raw bits of `values`, seeded with `shape`.
+template <typename T>
+std::uint64_t content_hash(std::uint64_t shape, std::span<const T> values) {
+  std::uint64_t state = shape;
   std::uint64_t h = splitmix64(state);
-  for (const double v : x.data()) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
+  for (const T v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(v));
     state = h ^ bits;
     h = splitmix64(state);
   }
   return h;
 }
 
+/// Full content hash of a matrix (splitmix64 over the raw double bits plus
+/// the dimensions).  Collision-resistant enough that a stale cache entry
+/// whose address was reused by different data is detected in practice; the
+/// dimensions are mixed in so a truncated reuse cannot alias.
+std::uint64_t matrix_content_hash(const Matrix& x) {
+  return content_hash(x.rows() * 0x9e3779b97f4a7c15ull + x.cols(), x.data());
+}
+
 }  // namespace
 
-TrainContext::Entry& TrainContext::touch(const Matrix& x, std::uint64_t hash) {
-  const void* key = x.data().data();
-  for (Entry& e : entries_) {
-    if (e.data == key && e.rows == x.rows() && e.cols == x.cols()) {
-      if (e.content_hash != hash) {
-        // Address reused by different contents: drop the stale artifacts.
-        e = Entry{};
-        e.data = key;
-        e.rows = x.rows();
-        e.cols = x.cols();
-        e.content_hash = hash;
-      }
-      e.last_used = ++tick_;
-      return e;
+TrainContext::MatrixKey TrainContext::MatrixKey::of(const Matrix& x) {
+  return {x.data().data(), x.rows(), x.cols(), matrix_content_hash(x)};
+}
+
+TrainContext::Entry& TrainContext::touch(const MatrixKey& key) {
+  auto it = std::find_if(entries_.begin(), entries_.end(),
+                         [&](const Entry& e) { return e.key.same_identity(key); });
+  if (it == entries_.end()) {
+    if (entries_.size() >= kMaxContextEntries) {
+      entries_.erase(std::min_element(entries_.begin(), entries_.end(),
+                                      [](const Entry& a, const Entry& b) {
+                                        return a.last_used < b.last_used;
+                                      }));
     }
+    it = entries_.emplace(entries_.end());
+  } else if (it->key.content_hash != key.content_hash) {
+    *it = Entry{};  // address reused by different contents: drop the stale artifacts
   }
-  if (entries_.size() >= kMaxContextEntries) {
-    auto lru = std::min_element(entries_.begin(), entries_.end(),
-                                [](const Entry& a, const Entry& b) {
-                                  return a.last_used < b.last_used;
-                                });
-    entries_.erase(lru);
-  }
-  Entry e;
-  e.data = key;
-  e.rows = x.rows();
-  e.cols = x.cols();
-  e.content_hash = hash;
-  e.last_used = ++tick_;
-  entries_.push_back(std::move(e));
-  return entries_.back();
+  it->key = key;
+  it->last_used = ++tick_;
+  return *it;
 }
 
 std::shared_ptr<const TreeTrainBase> TrainContext::tree_base(const Matrix& x) {
-  const std::uint64_t hash = matrix_content_hash(x);
+  const MatrixKey key = MatrixKey::of(x);
   std::lock_guard lock(mu_);
-  Entry& e = touch(x, hash);
+  Entry& e = touch(key);
   if (e.base) {
     ++stats_.tree_base_hits;
     return e.base;
@@ -576,9 +572,9 @@ std::shared_ptr<const TreeTrainBase> TrainContext::tree_base(const Matrix& x) {
 
 std::shared_ptr<const std::vector<double>> TrainContext::row_squared_norms(
     const Matrix& x) {
-  const std::uint64_t hash = matrix_content_hash(x);
+  const MatrixKey key = MatrixKey::of(x);
   std::lock_guard lock(mu_);
-  Entry& e = touch(x, hash);
+  Entry& e = touch(key);
   if (e.norms) {
     ++stats_.norms_hits;
     return e.norms;
@@ -593,6 +589,29 @@ std::shared_ptr<const std::vector<double>> TrainContext::row_squared_norms(
   }
   e.norms = std::move(norms);
   return e.norms;
+}
+
+FittedFeatureStep TrainContext::feature_step(const std::string& name, const Matrix& x,
+                                             const std::vector<int>& y) {
+  FeatureStepSlot slot{MatrixKey::of(x),
+                       content_hash(y.size() * 0x9e3779b97f4a7c15ull, std::span<const int>(y)),
+                       name, {}};
+  {
+    std::lock_guard lock(mu_);
+    if (step_slot_.fitted.step != nullptr && step_slot_.x == slot.x &&
+        step_slot_.labels_hash == slot.labels_hash && step_slot_.name == name) {
+      ++stats_.feature_step_hits;
+      return step_slot_.fitted;
+    }
+    ++stats_.feature_step_misses;
+    // Free the previous step's transform before building the next, so at
+    // most one is alive.
+    step_slot_ = FeatureStepSlot{};
+  }
+  slot.fitted = fit_feature_step(name, x, y);
+  std::lock_guard lock(mu_);
+  step_slot_ = slot;
+  return slot.fitted;
 }
 
 TrainContext::Stats TrainContext::stats() const {

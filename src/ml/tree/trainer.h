@@ -34,9 +34,11 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "ml/feature/filters.h"
 #include "ml/tree/tree_model.h"
 
 namespace mlaas {
@@ -68,7 +70,8 @@ struct TreeTrainBase {
 
 /// Cross-fit cache of data-only training state, shared between every config
 /// a tuner or campaign session fits on the same training matrix: the tree
-/// family's TreeTrainBase and kNN's cached squared row norms.
+/// family's TreeTrainBase, kNN's cached squared row norms, and one fitted
+/// pipeline feature step.
 ///
 /// Entries are keyed on matrix identity (data pointer, rows, cols) and
 /// guarded by a full content hash verified on every lookup — a freed matrix
@@ -87,36 +90,69 @@ class TrainContext {
   std::shared_ptr<const TreeTrainBase> tree_base(const Matrix& x);
   std::shared_ptr<const std::vector<double>> row_squared_norms(const Matrix& x);
 
+  /// fit_feature_step(name, x, y), served from a one-slot cache.  The slot
+  /// is keyed on x's identity and content hash, a content hash of y, and
+  /// `name`; a call with any of them different refits and replaces it.
+  /// Feature steps take no seed and their fit is a pure function of
+  /// (x, y), so a run of pipelines using one step on one training set fits
+  /// it once.  The held transform keeps its address while the slot holds
+  /// it, so the classifier's tree_base / row_squared_norms lookups on it
+  /// hit too.  One slot because a campaign session emits each step's cells
+  /// consecutively; holding every step would add only the joint sample's
+  /// hits and costs peak memory (DESIGN.md "Model-selection engine").
+  FittedFeatureStep feature_step(const std::string& name, const Matrix& x,
+                                 const std::vector<int>& y);
+
   struct Stats {
     std::size_t tree_base_hits = 0;
     std::size_t tree_base_misses = 0;
     std::size_t norms_hits = 0;
     std::size_t norms_misses = 0;
+    std::size_t feature_step_hits = 0;
+    std::size_t feature_step_misses = 0;
   };
   Stats stats() const;
 
  private:
-  struct Entry {
+  /// A matrix's identity (data pointer, rows, cols) plus its content hash.
+  struct MatrixKey {
     const void* data = nullptr;
     std::size_t rows = 0;
     std::size_t cols = 0;
     std::uint64_t content_hash = 0;
+
+    static MatrixKey of(const Matrix& x);
+    bool same_identity(const MatrixKey& other) const {
+      return data == other.data && rows == other.rows && cols == other.cols;
+    }
+    bool operator==(const MatrixKey&) const = default;
+  };
+  struct Entry {
+    MatrixKey key;
     std::uint64_t last_used = 0;
     std::shared_ptr<const TreeTrainBase> base;
     std::shared_ptr<const std::vector<double>> norms;
   };
-  /// Find-or-create the entry for `x` (hash already computed); resets a
-  /// stale entry whose address was reused by different contents.  mu_ held.
-  Entry& touch(const Matrix& x, std::uint64_t hash);
+  struct FeatureStepSlot {
+    MatrixKey x;
+    std::uint64_t labels_hash = 0;
+    std::string name;
+    FittedFeatureStep fitted;
+  };
+  /// Find-or-create the entry for `key`; resets a stale entry whose address
+  /// was reused by different contents.  mu_ held.
+  Entry& touch(const MatrixKey& key);
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
+  FeatureStepSlot step_slot_;
   std::uint64_t tick_ = 0;
   Stats stats_;
 };
 
 /// The calling thread's installed TrainContext (nullptr when none).
-/// Consulted by TreeWorkspace::bind and KNearestNeighbors::fit.
+/// Consulted by TreeWorkspace::bind, KNearestNeighbors::fit and
+/// PipelineModel::fit.
 TrainContext* active_train_context();
 
 /// RAII installer for the thread-local active context.  Passing nullptr

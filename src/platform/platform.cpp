@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ml/tree/trainer.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -35,17 +36,25 @@ PipelineConfig Platform::baseline_config() const {
   return config;
 }
 
-PipelineModel::PipelineModel(TransformerPtr feature_step, ClassifierPtr classifier,
+PipelineModel::PipelineModel(std::string feature_step, ClassifierPtr classifier,
                              bool expose_scores)
-    : feature_step_(std::move(feature_step)),
+    : feature_step_name_(std::move(feature_step)),
       classifier_(std::move(classifier)),
       expose_scores_(expose_scores) {
   if (!classifier_) throw std::invalid_argument("PipelineModel: null classifier");
 }
 
 void PipelineModel::fit(const Dataset& train) {
-  if (feature_step_) feature_step_->fit(train.x(), train.y());
-  classifier_->fit(apply_feature_step(train.x()), train.y());
+  if (feature_step_name_.empty()) {
+    classifier_->fit(train.x(), train.y());
+    return;
+  }
+  TrainContext* context = active_train_context();
+  const FittedFeatureStep fitted =
+      context != nullptr ? context->feature_step(feature_step_name_, train.x(), train.y())
+                         : fit_feature_step(feature_step_name_, train.x(), train.y());
+  feature_step_ = fitted.step;
+  classifier_->fit(*fitted.train_x, train.y());
 }
 
 const Matrix& PipelineModel::apply_feature_step(const Matrix& x) const {
@@ -70,7 +79,7 @@ TrainedModelPtr train_pipeline(const ControlSurface& surface, const std::string&
                                std::uint64_t seed, const std::string& default_classifier,
                                bool expose_scores) {
   // Validate FEAT.
-  TransformerPtr feat;
+  std::string feat;
   if (!config.feature_step.empty() && config.feature_step != "none") {
     if (!surface.feature_selection) {
       throw std::invalid_argument(platform_name + ": feature selection is not supported");
@@ -80,7 +89,7 @@ TrainedModelPtr train_pipeline(const ControlSurface& surface, const std::string&
       throw std::invalid_argument(platform_name + ": unknown feature step " +
                                   config.feature_step);
     }
-    feat = make_feature_step(config.feature_step);
+    feat = config.feature_step;
   }
   // Validate CLF.
   std::string clf_name = config.classifier.empty() ? default_classifier : config.classifier;

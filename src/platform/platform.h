@@ -82,9 +82,13 @@ using PlatformPtr = std::unique_ptr<Platform>;
 /// implementations.
 class PipelineModel final : public TrainedModel {
  public:
-  PipelineModel(TransformerPtr feature_step, ClassifierPtr classifier, bool expose_scores);
+  /// `feature_step` is a make_feature_step name, or "" for none.
+  PipelineModel(std::string feature_step, ClassifierPtr classifier, bool expose_scores);
 
-  /// Fit both stages.
+  /// Fit both stages.  Under an active TrainContext the fitted feature step
+  /// and its transform of the training matrix come from the context
+  /// (TrainContext::feature_step), so consecutive pipelines with one step on
+  /// one training set fit it once.
   void fit(const Dataset& train);
 
   std::vector<int> predict(const Matrix& x) const override;
@@ -98,7 +102,8 @@ class PipelineModel final : public TrainedModel {
   /// transform result cached in feat_scratch_.
   const Matrix& apply_feature_step(const Matrix& x) const;
 
-  TransformerPtr feature_step_;  // may be null
+  std::string feature_step_name_;
+  std::shared_ptr<const Transformer> feature_step_;  // null without a step
   ClassifierPtr classifier_;
   bool expose_scores_;
   // Predict-path scratch, reused across calls.  A model serves queries from

@@ -146,21 +146,6 @@ void write_tenant_row(std::ostream& out, const TenantServingStats& t) {
   out << '\n';
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 void write_latency_json(std::ostream& out, const LatencyHistogram& h) {
   out << "{\"mean\": " << h.mean_seconds() * 1000.0
       << ", \"p50\": " << h.quantile(0.50) * 1000.0

@@ -26,6 +26,7 @@ CliFlags::CliFlags(int argc, const char* const* argv) {
 }
 
 std::optional<std::string> CliFlags::get(const std::string& name) const {
+  read_.insert(name);
   auto it = flags_.find(name);
   if (it == flags_.end()) return std::nullopt;
   return it->second;
@@ -59,6 +60,12 @@ bool CliFlags::bool_or(const std::string& name, bool def) const {
   auto v = get(name);
   if (!v) return def;
   return *v == "true" || *v == "1" || *v == "yes";
+}
+
+void CliFlags::reject_unread() const {
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) == 0) throw std::invalid_argument("unknown flag --" + name);
+  }
 }
 
 BenchOptions parse_bench_options(int argc, const char* const* argv) {

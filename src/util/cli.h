@@ -1,13 +1,20 @@
-// Tiny command-line flag parser shared by bench/example binaries.
+// Tiny command-line flag parser shared by the CLI and the bench/example
+// binaries.
 //
-// Supports "--name value" and "--name=value"; unknown flags raise an error so
-// typos are caught.  Also reads MLAAS_SCALE / MLAAS_SEED environment
-// variables as defaults for the common knobs.
+// Supports "--name value", "--name=value" and bare boolean "--name"; a
+// positional argument is an error.  CliFlags remembers which flags its
+// getters were asked for, so a command that has read every flag it
+// understands can call reject_unread() to turn a typo into an error naming
+// the flag; mlaas_cli does this for every subcommand.  parse_bench_options
+// does not, since bench binaries read further flags of their own.  Also
+// reads MLAAS_SCALE / MLAAS_SEED environment variables as defaults for the
+// common knobs.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 namespace mlaas {
@@ -23,8 +30,13 @@ class CliFlags {
   double double_or(const std::string& name, double def) const;
   bool bool_or(const std::string& name, bool def) const;
 
+  /// Throws std::invalid_argument naming the first given flag that no getter
+  /// above has been asked for.
+  void reject_unread() const;
+
  private:
   std::map<std::string, std::string> flags_;
+  mutable std::set<std::string> read_;  // names passed to the getters
 };
 
 /// Common bench configuration derived from flags + environment.

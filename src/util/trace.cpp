@@ -7,32 +7,6 @@
 namespace mlaas {
 namespace {
 
-/// Minimal JSON string escape: quotes, backslashes and control characters.
-/// Everything this repo puts into a trace is ASCII.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_args(std::ostream& out, const TraceEvent& event) {
   out << "\"args\":{";
   for (std::size_t i = 0; i < event.args.size(); ++i) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 namespace mlaas {
 namespace {
@@ -34,6 +36,44 @@ TEST(Corpus, DomainPlanScalesToOtherSizes) {
   std::size_t total = 0;
   for (const auto& [d, c] : plan) total += c;
   EXPECT_EQ(total, 24u);
+}
+
+TEST(Corpus, DomainPlanSumsToNForEverySize) {
+  // Below 6 datasets the one-per-domain floor used to drive the first bucket
+  // below zero, which wrapped to ~1.8e19 datasets.  From 6 up the plan must
+  // stay what the original arithmetic gave (it never wrapped there), so the
+  // committed corpora do not change.
+  const auto base = corpus_domain_plan(119);
+  for (std::size_t n = 1; n <= 300; ++n) {
+    const auto plan = corpus_domain_plan(n);
+    ASSERT_EQ(plan.size(), base.size());
+    std::size_t total = 0;
+    for (const auto& [domain, count] : plan) {
+      EXPECT_LE(count, n) << "n=" << n;
+      total += count;
+    }
+    EXPECT_EQ(total, n);
+    if (n < 6) continue;
+    std::vector<long long> expected;
+    long long assigned = 0;
+    for (const auto& [domain, count] : base) {
+      expected.push_back(std::max<long long>(1, static_cast<long long>(count * n / 119)));
+      assigned += expected.back();
+    }
+    expected.front() += static_cast<long long>(n) - assigned;
+    for (std::size_t d = 0; d < plan.size(); ++d) {
+      EXPECT_EQ(plan[d].first, base[d].first);
+      EXPECT_EQ(static_cast<long long>(plan[d].second), expected[d]) << "n=" << n << " d=" << d;
+    }
+  }
+}
+
+TEST(Corpus, BuildsTinyCorpus) {
+  CorpusOptions opt = small_options();
+  opt.n_datasets = 2;
+  const auto corpus = build_corpus(opt);
+  ASSERT_EQ(corpus.size(), 2u);
+  for (const auto& ds : corpus) ds.check();
 }
 
 TEST(Corpus, Builds119Datasets) {

@@ -5,6 +5,7 @@
 // run-to-run nondeterministic column and are masked before comparing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -103,7 +104,8 @@ struct RunArtifacts {
   SchedulerStats scheduler;
 };
 
-RunArtifacts run_once(const MeasurementOptions& base, int threads, Schedule schedule) {
+RunArtifacts run_once(const MeasurementOptions& base, int threads, Schedule schedule,
+                      std::vector<PlatformPtr> platforms = small_roster()) {
   // The journal path embeds the running test's name: several tests in this
   // file call run_once with the same (threads, schedule) pair, and ctest runs
   // them as concurrent processes sharing TempDir — a fixed name lets one
@@ -119,7 +121,7 @@ RunArtifacts run_once(const MeasurementOptions& base, int threads, Schedule sche
   opt.threads = threads;
   opt.schedule = schedule;
   opt.campaign.journal_path = path;
-  const CampaignResult result = run_campaign(skewed_corpus(), small_roster(), opt);
+  const CampaignResult result = run_campaign(skewed_corpus(), platforms, opt);
   RunArtifacts artifacts{masked_table(result.table), masked_journal(path),
                          result.report.scheduler};
   std::remove(path.c_str());
@@ -174,6 +176,44 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossTrainStateReuse) {
   MeasurementOptions reused = fast_options();
   reused.reuse_train_state = true;
   const RunArtifacts run = run_once(reused, 2, Schedule::kStatic);
+  EXPECT_EQ(run.table, reference.table);
+  EXPECT_EQ(run.journal, reference.journal);
+}
+
+TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossFeatureStepReuse) {
+  // Microsoft and Local are the platforms with feature steps.  With reuse on,
+  // a session fits each step once per run of same-step cells
+  // (TrainContext::feature_step) and trains the classifiers on the shared
+  // transform; with it off every cell fits its own step.  The masked table
+  // and journal bytes must not move.
+  const auto roster = [] {
+    std::vector<PlatformPtr> platforms;
+    platforms.push_back(make_platform("Microsoft"));
+    platforms.push_back(make_platform("Local"));
+    return platforms;
+  };
+  MeasurementOptions fresh = fast_options();
+  fresh.joint_sample = 50;
+  // Every feature step runs in the FEAT dimension (one cell per classifier)
+  // and again in the joint sample.
+  for (const auto& platform : roster()) {
+    const ControlSurface surface = platform->controls();
+    const auto configs = enumerate_configs(*platform, fresh);
+    for (const auto& step : surface.feature_steps) {
+      const auto cells = std::count_if(configs.begin(), configs.end(),
+                                       [&](const PipelineConfig& c) {
+                                         return c.feature_step == step;
+                                       });
+      EXPECT_GT(static_cast<std::size_t>(cells), surface.classifiers.size())
+          << platform->name() << " " << step << " is not in the joint sample";
+    }
+  }
+  fresh.reuse_train_state = false;
+  const RunArtifacts reference = run_once(fresh, 2, Schedule::kStatic, roster());
+  ASSERT_FALSE(reference.table.empty());
+  MeasurementOptions reused = fresh;
+  reused.reuse_train_state = true;
+  const RunArtifacts run = run_once(reused, 2, Schedule::kStatic, roster());
   EXPECT_EQ(run.table, reference.table);
   EXPECT_EQ(run.journal, reference.journal);
 }

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "tests/oracle/kendall.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -146,6 +148,68 @@ TEST(Stats, KendallIndependentNearZero) {
     b[i] = rng.normal();
   }
   EXPECT_NEAR(kendall(a, b), 0.0, 0.12);
+}
+
+// One column of a Kendall equivalence input: `kind` picks the value
+// family, then specials are sprinkled in at random positions.
+std::vector<double> kendall_fuzz_column(Rng& rng, std::size_t n, std::size_t kind,
+                                        bool with_non_finite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> v(n);
+  for (double& x : v) {
+    switch (kind) {
+      case 0: x = rng.normal(); break;                                   // continuous
+      case 1: x = static_cast<double>(rng.index(2)); break;              // binary labels
+      case 2: x = static_cast<double>(rng.index(4)); break;              // heavy ties
+      case 3: x = 7.5; break;                                            // all tied
+      case 4: x = rng.chance(0.5) ? -0.0 : 0.0; break;                   // signed zeros
+      case 5: x = (rng.chance(0.5) ? -1e300 : 1e300) * (1.0 + rng.index(3)); break;  // overflow
+      case 6: x = tiny * static_cast<double>(rng.integer(-3, 3)); break;  // subnormals
+      default:  // a mix of every family above
+        x = rng.chance(0.25) ? rng.normal()
+            : rng.chance(0.3) ? static_cast<double>(rng.index(3))
+            : rng.chance(0.3) ? (rng.chance(0.5) ? -0.0 : 0.0)
+            : rng.chance(0.5) ? (rng.chance(0.5) ? -1.7e308 : 1.7e308)
+                              : tiny * static_cast<double>(rng.integer(-2, 2));
+    }
+  }
+  if (with_non_finite && n > 0) {
+    const std::size_t specials = 1 + rng.index(std::max<std::size_t>(1, n / 4));
+    for (std::size_t s = 0; s < specials; ++s) {
+      const std::size_t which = rng.index(3);
+      v[rng.index(n)] = which == 0   ? kInf
+                        : which == 1 ? -kInf
+                                     : std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  return v;
+}
+
+TEST(Stats, KendallBitIdenticalToPairWalkOracle) {
+  // The sort-and-merge counts must reproduce the O(n^2) pair walk's score
+  // bit for bit: ties, signed zeros, differences that overflow to +-Inf,
+  // subnormals, constant columns (zero denominator), and — through the
+  // fallback — NaN and +-Inf.
+  Rng rng(20240611);
+  std::size_t non_finite_inputs = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t n = rng.chance(0.03) ? 300 + rng.index(401) : rng.index(80);
+    const bool non_finite = rng.chance(0.2);
+    const std::size_t kind_a = rng.index(8);
+    const std::size_t kind_b = rng.chance(0.5) ? 1 : rng.index(8);
+    const bool special_a = non_finite && rng.chance(0.7);
+    const bool special_b = non_finite && (!special_a || rng.chance(0.3));
+    const auto a = kendall_fuzz_column(rng, n, kind_a, special_a);
+    const auto b = kendall_fuzz_column(rng, n, kind_b, special_b);
+    non_finite_inputs += n > 0 && non_finite ? 1 : 0;
+    const double fast = kendall(a, b);
+    const double oracle = oracle::reference_kendall(a, b);
+    ASSERT_EQ(std::memcmp(&fast, &oracle, sizeof(double)), 0)
+        << "trial " << trial << " n=" << n << " kinds " << kind_a << "/" << kind_b
+        << ": " << fast << " vs oracle " << oracle;
+  }
+  EXPECT_GT(non_finite_inputs, 3000u);
 }
 
 TEST(Stats, FisherScoreSeparatesClasses) {

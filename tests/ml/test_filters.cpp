@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
+
 #include "data/generators.h"
+#include "tests/oracle/kendall.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -74,6 +81,47 @@ TEST(SelectKBest, KClampedToFeatureCount) {
   SelectKBest sel("fisher", 99);
   sel.fit(ds.x(), ds.y());
   EXPECT_EQ(sel.selected().size(), 6u);
+}
+
+TEST(SelectKBest, KendallOnNanColumnsMatchesOracleScoring) {
+  // With imputation off the corpus keeps missing values, so the kendall
+  // filter sees NaN (and the pair-walk fallback must score it exactly as
+  // before).  Columns 0 and 3 are informative; 1, 3 and 4 carry NaN, 4 an
+  // Inf too.
+  Dataset ds = informative_vs_noise(11);
+  Matrix& x = ds.x();
+  Rng rng(3);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    if (rng.chance(0.1)) x(i, 1) = std::numeric_limits<double>::quiet_NaN();
+    if (rng.chance(0.02)) x(i, 3) = std::numeric_limits<double>::quiet_NaN();
+    if (rng.chance(0.05)) x(i, 4) = std::numeric_limits<double>::quiet_NaN();
+  }
+  x(7, 4) = std::numeric_limits<double>::infinity();
+
+  const std::vector<double> labels(ds.y().begin(), ds.y().end());
+  std::vector<double> oracle_scores(x.cols());
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    const double s = std::abs(oracle::reference_kendall(x.col(c), labels));
+    oracle_scores[c] = std::isfinite(s) ? s : 0.0;
+  }
+  const auto scores = score_features(x, ds.y(), feature_score_fn("kendall"));
+  ASSERT_EQ(scores.size(), oracle_scores.size());
+  EXPECT_EQ(std::memcmp(scores.data(), oracle_scores.data(), scores.size() * sizeof(double)),
+            0);
+
+  for (const std::size_t k : {1u, 2u, 3u, 5u}) {
+    std::vector<std::size_t> order(x.cols());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return oracle_scores[a] > oracle_scores[b];
+    });
+    std::vector<std::size_t> expected(order.begin(),
+                                      order.begin() + static_cast<std::ptrdiff_t>(k));
+    std::sort(expected.begin(), expected.end());
+    SelectKBest sel("kendall", k);
+    sel.fit(x, ds.y());
+    EXPECT_EQ(sel.selected(), expected) << "k=" << k;
+  }
 }
 
 TEST(FisherLdaExtractor, ProjectsToOneDiscriminativeFeature) {

@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <thread>
 
 #include "ml/registry.h"
 #include "ml/tree/trainer.h"
+#include "platform/all_platforms.h"
 #include "tests/ml/test_helpers.h"
 
 namespace mlaas {
 namespace {
+
+bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(double)) == 0;
+}
 
 std::string fit_and_serialize(const std::string& name, const Dataset& ds,
                               std::uint64_t seed) {
@@ -82,6 +89,89 @@ TEST(TrainContext, KnnNormsBitIdenticalWithAndWithoutContext) {
   const auto s = context.stats();
   EXPECT_EQ(s.norms_misses, 1u);
   EXPECT_EQ(s.norms_hits, 1u);
+}
+
+TEST(TrainContext, FeatureStepFittedOncePerRunOfSameStepCalls) {
+  const Dataset ds = testing::separable(150, 53);
+  TrainContext context;
+  const FittedFeatureStep first = context.feature_step("filter_kendall", ds.x(), ds.y());
+  for (int i = 0; i < 3; ++i) {
+    const FittedFeatureStep again = context.feature_step("filter_kendall", ds.x(), ds.y());
+    EXPECT_EQ(again.step.get(), first.step.get());
+    EXPECT_EQ(again.train_x.get(), first.train_x.get());
+  }
+  const auto s = context.stats();
+  EXPECT_EQ(s.feature_step_misses, 1u);
+  EXPECT_EQ(s.feature_step_hits, 3u);
+  // The held transform is what a fit without the context produces.
+  const FittedFeatureStep fresh = fit_feature_step("filter_kendall", ds.x(), ds.y());
+  EXPECT_TRUE(same_bytes(*first.train_x, *fresh.train_x));
+}
+
+TEST(TrainContext, FeatureStepMissesOnOtherStepLabelsOrMatrix) {
+  Dataset ds = testing::separable(150, 59);
+  TrainContext context;
+  context.feature_step("standard_scaler", ds.x(), ds.y());
+  context.feature_step("minmax_scaler", ds.x(), ds.y());  // another step
+  std::vector<int> flipped = ds.y();
+  for (int& v : flipped) v = 1 - v;
+  context.feature_step("minmax_scaler", ds.x(), flipped);  // other labels
+  // Same address, new contents: the held transform is stale.
+  ds.x()(0, 0) += 100.0;
+  const FittedFeatureStep refit = context.feature_step("minmax_scaler", ds.x(), flipped);
+  EXPECT_TRUE(same_bytes(*refit.train_x,
+                         *fit_feature_step("minmax_scaler", ds.x(), flipped).train_x));
+  const Matrix copy = ds.x();
+  context.feature_step("minmax_scaler", copy, flipped);  // equal contents, other address
+  const auto s = context.stats();
+  EXPECT_EQ(s.feature_step_misses, 5u);
+  EXPECT_EQ(s.feature_step_hits, 0u);
+}
+
+TEST(TrainContext, FeatureStepSlotHoldsOneStep) {
+  const Dataset ds = testing::separable(150, 61);
+  TrainContext context;
+  FittedFeatureStep pearson = context.feature_step("filter_pearson", ds.x(), ds.y());
+  const std::weak_ptr<const Matrix> pearson_x = pearson.train_x;
+  context.feature_step("filter_fisher", ds.x(), ds.y());
+  // The slot let go of the replaced step: ours is the last reference.
+  pearson = {};
+  EXPECT_TRUE(pearson_x.expired());
+  context.feature_step("filter_pearson", ds.x(), ds.y());
+  const auto s = context.stats();
+  EXPECT_EQ(s.feature_step_misses, 3u);
+  EXPECT_EQ(s.feature_step_hits, 0u);
+}
+
+TEST(TrainContext, PipelinesSharingAFeatureStepBitIdenticalWithAndWithoutContext) {
+  const Dataset ds = testing::separable(200, 67);
+  const auto platform = make_platform("Microsoft");
+  const std::vector<std::string> classifiers{"logistic_regression", "boosted_trees",
+                                             "decision_jungle"};
+  auto scores = [&](const std::string& classifier) {
+    PipelineConfig config;
+    config.feature_step = "filter_kendall";
+    config.classifier = classifier;
+    return platform->train(ds, config, 7)->predict_score(ds.x());
+  };
+  std::vector<std::vector<double>> fresh;
+  for (const auto& c : classifiers) fresh.push_back(scores(c));
+  TrainContext context;
+  {
+    ScopedTrainContext scope(&context);
+    for (std::size_t i = 0; i < classifiers.size(); ++i) {
+      const std::vector<double> reused = scores(classifiers[i]);
+      ASSERT_EQ(reused.size(), fresh[i].size());
+      EXPECT_EQ(std::memcmp(reused.data(), fresh[i].data(), reused.size() * sizeof(double)), 0)
+          << classifiers[i];
+    }
+  }
+  const auto s = context.stats();
+  EXPECT_EQ(s.feature_step_misses, 1u);
+  EXPECT_EQ(s.feature_step_hits, classifiers.size() - 1);
+  // The tree fits after the first train on the held transform: its presort
+  // is served from the context.
+  EXPECT_GE(s.tree_base_hits, 1u);
 }
 
 TEST(TrainContext, ScopedInstallRestoresPreviousContext) {

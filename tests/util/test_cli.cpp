@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace mlaas {
 namespace {
 
@@ -35,6 +38,26 @@ TEST(CliFlags, MissingUsesDefault) {
 
 TEST(CliFlags, RejectsPositional) {
   EXPECT_THROW(parse({"positional"}), std::invalid_argument);
+}
+
+TEST(CliFlags, RejectUnreadNamesTheFlag) {
+  const auto flags = parse({"--seed", "99", "--bogus-flag", "7"});
+  EXPECT_EQ(flags.int_or("seed", 0), 99);
+  try {
+    flags.reject_unread();
+    FAIL() << "an unread flag was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--bogus-flag"), std::string::npos) << e.what();
+  }
+}
+
+TEST(CliFlags, RejectUnreadAcceptsEveryReadFlag) {
+  const auto flags = parse({"--seed", "99", "--quick", "--name=x"});
+  flags.int_or("seed", 0);
+  flags.bool_or("quick", false);
+  flags.get_or("name", "");
+  flags.double_or("absent", 1.0);  // asking for a flag that was not given is fine
+  EXPECT_NO_THROW(flags.reject_unread());
 }
 
 TEST(BenchOptions, ParsesAll) {

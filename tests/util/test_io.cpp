@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "eval/measurement.h"
@@ -107,6 +108,24 @@ TEST(SidecarIo, TraceSaveJsonChecksTheStream) {
   if (dev_full_available()) {
     EXPECT_THROW(trace.save_json("/dev/full"), std::runtime_error);
   }
+}
+
+TEST(SidecarIo, JsonEscapesControlCharacters) {
+  EXPECT_EQ(json_escape("a\"b\\c\nd\re\tf"), "a\\\"b\\\\c\\nd\\re\\tf");
+  EXPECT_EQ(json_escape(std::string("x\x01y\x1f", 4)), "x\\u0001y\\u001f");
+  // The report writers escape through it: a raw carriage return or control
+  // byte in a name would make the JSON invalid.
+  CampaignReport report;
+  PlatformCampaignStats p;
+  p.platform = "Bad\x01Name\r";
+  report.platforms.push_back(p);
+  const std::string path = testing::TempDir() + "io_escape.campaign.json";
+  report.save_json(path);
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"Bad\\u0001Name\\r\""), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+  EXPECT_EQ(json.find('\r'), std::string::npos);
 }
 
 TEST(SidecarIo, SavedReportRoundTripsAfterCheckedWrite) {

@@ -1,53 +1,6 @@
-// mlaas_cli — command-line front end for the library.
-//
-//   mlaas_cli list
-//       Platforms, their control surfaces, classifiers and feature steps.
-//   mlaas_cli train --csv data.csv --platform Microsoft
-//              [--clf boosted_trees] [--feat filter_fisher]
-//              [--params "n_estimators=80,learning_rate=0.1"]
-//              [--test-fraction 0.3] [--seed 42] [--label-column -1]
-//       Load a CSV (last column = label by default), 70/30 split, train the
-//       configured pipeline, print test metrics.
-//   mlaas_cli probe --platform Google [--seed 42]
-//       Decision-boundary probe on the CIRCLE and LINEAR datasets (§6.1).
-//   mlaas_cli corpus --out DIR [--seed 42] [--n 119]
-//       Write the synthetic study corpus as CSV files.
-//   mlaas_cli campaign [--quick] [--seed 42] [--scale 1] [--threads N]
-//              [--schedule static|dynamic]
-//              [--fault-rate 0.1] [--quota-profile strict] [--retry-budget 6]
-//              [--chaos-profile storm] [--breakers] [--breaker-threshold 3]
-//              [--breaker-cooldown 300] [--breaker-probes 2] [--jitter]
-//              [--journal PATH] [--resume|--fresh]
-//              [--out report.tsv] [--json report.json] [--trace-out trace.json]
-//       Run the measurement campaign through the simulated service layer
-//       and print/write the per-platform telemetry report.  Finished cells
-//       are journaled to PATH (write-ahead, fsync'd); an interrupted
-//       campaign resumes from the journal on the next run unless --fresh.
-//   mlaas_cli serve-bench [--tenants 6] [--platforms Local,Google,...]
-//              [--requests 2000] [--rate 50] [--closed-loop] [--clients 8]
-//              [--batch 64] [--linger 0.05] [--cache-capacity 8]
-//              [--max-pending 0] [--quota-profile default] [--seed 42]
-//              [--fault-rate 0.1] [--chaos-profile storm] [--deadline-ms 500]
-//              [--fallback Local] [--last-known-good] [--breakers]
-//              [--breaker-threshold 3] [--breaker-cooldown 300]
-//              [--breaker-probes 2]
-//              [--out report.tsv] [--json report.json] [--trace-out trace.json]
-//       Drive the batched query-serving layer (QueryRouter) with a seeded
-//       multi-tenant workload — Zipf-skewed tenant mix, open-loop Poisson
-//       arrivals at --rate (or --closed-loop with --clients callers) — and
-//       print per-tenant latency percentiles plus router telemetry.  The
-//       fault-tolerance knobs inject seeded chaos (--fault-rate /
-//       --chaos-profile), bound each request by a deadline budget
-//       (--deadline-ms) and arm the degradation ladder (--fallback,
-//       --last-known-good, --breakers); when any of them is on the summary
-//       gains a one-line resilience report (goodput, deadline misses,
-//       failovers, breaker trips).
-//
-//   Both campaign and serve-bench accept --trace-out PATH: record a
-//   deterministic end-to-end trace (service spans, retry waits, breaker
-//   transitions, batch flushes) and write it as Chrome trace_event JSON —
-//   load it in chrome://tracing or Perfetto.  Tracing changes no report
-//   byte and no cache fingerprint.
+// mlaas_cli — command-line front end for the library.  `mlaas_cli --help`
+// prints the commands and their flags (kUsage below).  Every command rejects
+// a flag it does not read.
 #include <cmath>
 #include <filesystem>
 #include <iostream>
@@ -72,7 +25,62 @@ namespace {
 
 using namespace mlaas;
 
-int cmd_list() {
+constexpr const char* kUsage = R"(usage: mlaas_cli <command> [flags]
+
+  mlaas_cli --help | mlaas_cli <command> --help
+      Print this text.  Every command rejects a flag it does not list.
+  mlaas_cli list
+      Platforms, their control surfaces, classifiers and feature steps.
+  mlaas_cli train --csv data.csv --platform Microsoft
+             [--clf boosted_trees] [--feat filter_fisher]
+             [--params "n_estimators=80,learning_rate=0.1"]
+             [--test-fraction 0.3] [--seed 42] [--label-column -1]
+      Load a CSV (last column = label by default), 70/30 split, train the
+      configured pipeline, print test metrics.
+  mlaas_cli probe --platform Google [--seed 42]
+      Decision-boundary probe on the CIRCLE and LINEAR datasets (§6.1).
+  mlaas_cli corpus --out DIR [--seed 42] [--n 119]
+      Write the synthetic study corpus as CSV files.
+  mlaas_cli campaign [--quick] [--seed 42] [--scale 1] [--threads N]
+             [--schedule static|dynamic] [--verbose]
+             [--fault-rate 0.1] [--quota-profile strict] [--retry-budget 6]
+             [--chaos-profile storm] [--breakers] [--breaker-threshold 3]
+             [--breaker-cooldown 300] [--breaker-probes 2] [--jitter]
+             [--journal PATH] [--resume|--fresh]
+             [--out report.tsv] [--json report.json] [--trace-out trace.json]
+      Run the measurement campaign through the simulated service layer
+      and print/write the per-platform telemetry report.  Finished cells
+      are journaled to PATH (write-ahead, fsync'd); an interrupted
+      campaign resumes from the journal on the next run unless --fresh.
+  mlaas_cli serve-bench [--tenants 6] [--platforms Local,Google,...]
+             [--requests 2000] [--rate 50] [--closed-loop] [--clients 8]
+             [--batch 64] [--linger 0.05] [--cache-capacity 8]
+             [--max-pending 0] [--quota-profile default] [--seed 42]
+             [--fault-rate 0.1] [--chaos-profile storm] [--deadline-ms 500]
+             [--fallback Local] [--last-known-good] [--breakers]
+             [--breaker-threshold 3] [--breaker-cooldown 300]
+             [--breaker-probes 2]
+             [--out report.tsv] [--json report.json] [--trace-out trace.json]
+      Drive the batched query-serving layer (QueryRouter) with a seeded
+      multi-tenant workload — Zipf-skewed tenant mix, open-loop Poisson
+      arrivals at --rate (or --closed-loop with --clients callers) — and
+      print per-tenant latency percentiles plus router telemetry.  The
+      fault-tolerance knobs inject seeded chaos (--fault-rate /
+      --chaos-profile), bound each request by a deadline budget
+      (--deadline-ms) and arm the degradation ladder (--fallback,
+      --last-known-good, --breakers); when any of them is on the summary
+      gains a one-line resilience report (goodput, deadline misses,
+      failovers, breaker trips).
+
+  Both campaign and serve-bench accept --trace-out PATH: record a
+  deterministic end-to-end trace (service spans, retry waits, breaker
+  transitions, batch flushes) and write it as Chrome trace_event JSON —
+  load it in chrome://tracing or Perfetto.  Tracing changes no report
+  byte and no cache fingerprint.
+)";
+
+int cmd_list(const CliFlags& flags) {
+  flags.reject_unread();
   TextTable t({"Platform", "FEAT steps", "Classifiers", "Tunable params"});
   for (const auto& name : platform_names()) {
     const ControlSurface s = make_platform(name)->controls();
@@ -96,25 +104,24 @@ int cmd_list() {
 
 int cmd_train(const CliFlags& flags) {
   const auto csv_path = flags.get("csv");
-  if (!csv_path) {
-    std::cerr << "train: --csv FILE is required\n";
-    return 2;
-  }
   CsvOptions csv_options;
   csv_options.label_column = static_cast<int>(flags.int_or("label-column", -1));
-  const Dataset dataset = load_csv_file(*csv_path, csv_options);
-
   const std::string platform_name = flags.get_or("platform", "Local");
-  const auto platform = make_platform(platform_name);
   PipelineConfig config;
   config.feature_step = flags.get_or("feat", "");
   config.classifier = flags.get_or("clf", "");
   config.params = parse_params(flags.get_or("params", ""));
-
   const auto seed = static_cast<std::uint64_t>(flags.int_or("seed", 42));
   const double test_fraction = flags.double_or("test-fraction", 0.3);
-  const auto split = train_test_split(dataset, test_fraction, seed);
+  flags.reject_unread();
+  if (!csv_path) {
+    std::cerr << "train: --csv FILE is required\n";
+    return 2;
+  }
 
+  const Dataset dataset = load_csv_file(*csv_path, csv_options);
+  const auto platform = make_platform(platform_name);
+  const auto split = train_test_split(dataset, test_fraction, seed);
   const auto model = platform->train(split.train, config, seed);
   const Metrics m = compute_metrics(split.test.y(), model->predict(split.test.x()));
 
@@ -135,8 +142,9 @@ int cmd_train(const CliFlags& flags) {
 
 int cmd_probe(const CliFlags& flags) {
   const std::string platform_name = flags.get_or("platform", "Google");
-  const auto platform = make_platform(platform_name);
   const auto seed = static_cast<std::uint64_t>(flags.int_or("seed", 42));
+  flags.reject_unread();
+  const auto platform = make_platform(platform_name);
   for (const bool is_circle : {true, false}) {
     const Dataset probe =
         is_circle ? make_circle_probe(seed) : make_linear_probe(seed);
@@ -153,7 +161,12 @@ int cmd_corpus(const CliFlags& flags) {
   const std::string out_dir = flags.get_or("out", "corpus_csv");
   CorpusOptions options;
   options.seed = static_cast<std::uint64_t>(flags.int_or("seed", 42));
-  options.n_datasets = static_cast<std::size_t>(flags.int_or("n", 119));
+  const long long n_datasets = flags.int_or("n", 119);
+  flags.reject_unread();
+  if (n_datasets < 1) {
+    throw std::invalid_argument("--n must be >= 1, got " + std::to_string(n_datasets));
+  }
+  options.n_datasets = static_cast<std::size_t>(n_datasets);
   std::filesystem::create_directories(out_dir);
   const auto corpus = build_corpus(options);
   for (const auto& ds : corpus) {
@@ -217,11 +230,15 @@ int cmd_campaign(const CliFlags& flags) {
   if (flags.bool_or("fresh", false)) opt.resume = false;
   const auto trace_out = flags.get("trace-out");
   opt.trace = trace_out.has_value();
+  const std::string journal_path =
+      flags.get_or("journal", "mlaas_campaign_seed" + std::to_string(opt.seed) + ".journal");
+  const auto out = flags.get("out");
+  const auto json = flags.get("json");
+  flags.reject_unread();
 
   Study study(opt);
   MeasurementOptions moptions = opt.measurement_options();
-  moptions.campaign.journal_path =
-      flags.get_or("journal", "mlaas_campaign_seed" + std::to_string(opt.seed) + ".journal");
+  moptions.campaign.journal_path = journal_path;
 
   // One-line resume summary before the run: how much of the campaign a
   // prior crashed invocation already banked.
@@ -266,11 +283,11 @@ int cmd_campaign(const CliFlags& flags) {
             << sched.sessions << " sessions (" << sched.sessions_stolen << " stolen), "
             << "makespan " << fmt(sched.makespan_seconds, 2) << " s, imbalance "
             << fmt(sched.imbalance(), 2) << "x\n";
-  if (auto out = flags.get("out")) {
+  if (out) {
     result.report.save_tsv(*out);
     std::cout << "wrote " << *out << "\n";
   }
-  if (auto json = flags.get("json")) {
+  if (json) {
     result.report.save_json(*json);
     std::cout << "wrote " << *json << "\n";
   }
@@ -358,6 +375,10 @@ int cmd_serve_bench(const CliFlags& flags) {
   options.serving.breaker.max_probes = static_cast<int>(flags.int_or("breaker-probes", 2));
   const auto trace_out = flags.get("trace-out");
   options.serving.trace = trace_out.has_value();
+  const auto n_tenants = static_cast<std::size_t>(flags.int_or("tenants", 6));
+  const auto out = flags.get("out");
+  const auto json = flags.get("json");
+  flags.reject_unread();
   // Cross-field checks shared with embedders of ServingOptions.
   validate_serving_options(options.serving);
   if (!options.serving.fallback_platform.empty()) {
@@ -367,7 +388,6 @@ int cmd_serve_bench(const CliFlags& flags) {
     if (!present) roster.push_back(options.serving.fallback_platform);
   }
 
-  const auto n_tenants = static_cast<std::size_t>(flags.int_or("tenants", 6));
   const auto tenants = make_serving_tenants(n_tenants, roster, options.seed);
   const ServingWorkloadResult result = run_serving_workload(tenants, options);
   const ServingStats& totals = result.report.totals;
@@ -409,11 +429,11 @@ int cmd_serve_bench(const CliFlags& flags) {
   }
   std::cout << "wall time: " << fmt(result.wall_seconds, 3) << " s\n";
 
-  if (auto out = flags.get("out")) {
+  if (out) {
     result.report.save_tsv(*out);
     std::cout << "wrote " << *out << "\n";
   }
-  if (auto json = flags.get("json")) {
+  if (json) {
     result.report.save_json(*json);
     std::cout << "wrote " << *json << "\n";
   }
@@ -425,26 +445,31 @@ int cmd_serve_bench(const CliFlags& flags) {
   return 0;
 }
 
-int usage() {
+int usage_error() {
   std::cerr << "usage: mlaas_cli <list|train|probe|corpus|campaign|serve-bench> [flags]\n"
-               "  see the header comment of tools/mlaas_cli.cpp for details\n";
+               "  run 'mlaas_cli --help' for each command's flags\n";
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+  if (argc < 2) return usage_error();
   const std::string command = argv[1];
   try {
     const CliFlags flags(argc - 1, argv + 1);
-    if (command == "list") return cmd_list();
+    if (command == "--help" || flags.get("help")) {
+      std::cout << kUsage;
+      return 0;
+    }
+    if (command == "list") return cmd_list(flags);
     if (command == "train") return cmd_train(flags);
     if (command == "probe") return cmd_probe(flags);
     if (command == "corpus") return cmd_corpus(flags);
     if (command == "campaign") return cmd_campaign(flags);
     if (command == "serve-bench") return cmd_serve_bench(flags);
-    return usage();
+    std::cerr << "mlaas_cli: unknown command '" << command << "'\n";
+    return usage_error();
   } catch (const std::exception& e) {
     std::cerr << "mlaas_cli: " << e.what() << "\n";
     return 1;

@@ -1134,12 +1134,6 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
   return result;
 }
 
-MeasurementTable run_measurements(const std::vector<Dataset>& corpus,
-                                  const std::vector<PlatformPtr>& platforms,
-                                  const MeasurementOptions& options) {
-  return run_campaign(corpus, platforms, options).table;
-}
-
 std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
                                     const std::vector<PlatformPtr>& platforms,
                                     const MeasurementOptions& options) {

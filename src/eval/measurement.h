@@ -47,8 +47,7 @@ struct Measurement {
   /// the configuration it happened to deschedule.
   double train_seconds = 0.0;
   /// Prediction cost over the full test split, in the same per-thread CPU
-  /// seconds as train_seconds — the query-side half of the cost picture,
-  /// measured under whichever PredictKernel is active.
+  /// seconds as train_seconds — the query-side half of the cost picture.
   double predict_seconds = 0.0;
   /// Predicted labels on the first kLabelSignatureSize test samples (a '0'/
   /// '1' string).  §6.2 trains the classifier-family meta-predictor on
@@ -343,11 +342,6 @@ struct CampaignResult {
 CampaignResult run_campaign(const std::vector<Dataset>& corpus,
                             const std::vector<PlatformPtr>& platforms,
                             const MeasurementOptions& options);
-
-/// Back-compat wrapper: run_campaign's table only.
-MeasurementTable run_measurements(const std::vector<Dataset>& corpus,
-                                  const std::vector<PlatformPtr>& platforms,
-                                  const MeasurementOptions& options);
 
 /// Train/evaluate one (dataset, platform, config) in-process (no service
 /// envelope) and return the row; nullopt when the platform rejects the

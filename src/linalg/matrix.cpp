@@ -72,17 +72,6 @@ std::vector<double> Matrix::multiply(std::span<const double> v) const {
   return out;
 }
 
-std::vector<double> Matrix::transpose_multiply(std::span<const double> v) const {
-  assert(v.size() == rows_);
-  std::vector<double> out(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* p = data_.data() + r * cols_;
-    const double vr = v[r];
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += p[c] * vr;
-  }
-  return out;
-}
-
 Matrix Matrix::multiply(const Matrix& other) const {
   assert(cols_ == other.rows_);
   Matrix out(rows_, other.cols_);

@@ -43,8 +43,6 @@ class Matrix {
 
   /// this * v  (v.size() == cols()).
   std::vector<double> multiply(std::span<const double> v) const;
-  /// this^T * v (v.size() == rows()).
-  std::vector<double> transpose_multiply(std::span<const double> v) const;
   /// this * other.
   Matrix multiply(const Matrix& other) const;
 

@@ -1,23 +1,10 @@
 #include "ml/classifier.h"
 
-#include <atomic>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 namespace mlaas {
-
-namespace {
-std::atomic<PredictKernel> g_predict_kernel{PredictKernel::kFlat};
-}  // namespace
-
-PredictKernel active_predict_kernel() {
-  return g_predict_kernel.load(std::memory_order_relaxed);
-}
-
-void set_active_predict_kernel(PredictKernel kernel) {
-  g_predict_kernel.store(kernel, std::memory_order_relaxed);
-}
 
 void Classifier::save_base(std::ostream& out) const {
   out << (single_class_ ? 1 : 0) << ' ' << single_class_label_ << '\n';

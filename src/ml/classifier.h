@@ -4,6 +4,11 @@
 // plus a seed, and report a probability-like score for class 1.  A
 // classifier declares whether its decision boundary is linear — the family
 // label used throughout §6 of the paper (Table 5).
+//
+// Each classifier has one predict path.  The per-row scoring loops its
+// batched kernels replaced live on as test-only oracles
+// (tests/oracle/predict.h), which the equivalence suites compare against
+// bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -16,18 +21,6 @@
 #include "ml/params.h"
 
 namespace mlaas {
-
-/// Which inference kernel predict_score()/predict_score_into() dispatch to.
-/// kFlat runs the batched kernels (flattened struct-of-arrays ensembles,
-/// blocked matvec/distance tiles); kReference runs each classifier's
-/// original per-row scoring loop, preserved verbatim so tests can assert
-/// bit-identity and benchmarks can measure the speedup.  Mirrors
-/// set_active_tree_builder() on the training side; not meant to be flipped
-/// while predicts are in flight.
-enum class PredictKernel { kFlat, kReference };
-
-PredictKernel active_predict_kernel();
-void set_active_predict_kernel(PredictKernel kernel);
 
 class Classifier {
  public:

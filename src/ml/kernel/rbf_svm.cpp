@@ -106,23 +106,6 @@ std::vector<double> RbfSvm::predict_score(const Matrix& x) const {
 
 void RbfSvm::predict_score_into(const Matrix& x, std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    out.resize(x.rows());
-    std::vector<double> row(x.cols());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        row[c] = (x(r, c) - feat_mean_[c]) / feat_std_[c];
-      }
-      double f = 0.0;
-      for (std::size_t i = 0; i < support_x_.rows(); ++i) {
-        if (alpha_[i] != 0.0) {
-          f += alpha_[i] * std::exp(-gamma_ * squared_distance(row, support_x_.row(i)));
-        }
-      }
-      out[r] = sigmoid(f);
-    }
-    return;
-  }
   out.resize(x.rows());
   // All query-to-support distances are computed as blocked tiles, two query
   // rows per pass over the support matrix (bit-identical to

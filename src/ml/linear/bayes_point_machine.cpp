@@ -80,16 +80,10 @@ std::vector<double> BayesPointMachine::predict_score(const Matrix& x) const {
 void BayesPointMachine::predict_score_into(const Matrix& x,
                                            std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    const auto z = x.multiply(w_);
-    out.resize(x.rows());
-    // Scale margins before the sigmoid so the committee average (unit norm)
-    // still produces confident scores.
-    for (std::size_t i = 0; i < x.rows(); ++i) out[i] = sigmoid(4.0 * (z[i] + b_));
-    return;
-  }
   out.resize(x.rows());
   matvec_into(x, w_, out);  // bit-identical to x.multiply(w_), no temporary
+  // Scale margins before the sigmoid so the committee average (unit norm)
+  // still produces confident scores.
   for (double& v : out) v = sigmoid(4.0 * (v + b_));
 }
 

@@ -78,12 +78,6 @@ std::vector<double> LinearSvm::predict_score(const Matrix& x) const {
 void LinearSvm::predict_score_into(const Matrix& x,
                                std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    const auto z = x.multiply(w_);
-    out.resize(x.rows());
-    for (std::size_t i = 0; i < x.rows(); ++i) out[i] = sigmoid(z[i] + b_);
-    return;
-  }
   out.resize(x.rows());
   matvec_into(x, w_, out);  // bit-identical to x.multiply(w_), no temporary
   for (double& v : out) v = sigmoid(v + b_);

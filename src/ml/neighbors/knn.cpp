@@ -61,17 +61,16 @@ void KNearestNeighbors::predict_score_into(const Matrix& x,
   const std::size_t n_train = train_x_.rows();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(n_neighbors_), n_train);
   const bool euclidean = p_ == 2.0 && train_sq_norms_.size() == n_train;
-  const bool reference = active_predict_kernel() == PredictKernel::kReference;
   out.resize(x.rows());
 
   std::vector<std::pair<double, std::size_t>> dist(n_train);
   std::vector<double> d2(n_train);
-  if (euclidean && !reference) {
-    // Flat kernel: query pairs share one pass over the train matrix (each
-    // train row is loaded once and feeds both queries' dot chains), then
-    // the per-query sqrt / selection / vote runs exactly as the reference
-    // does.  The q² - 2q·x + |x|² expression matches the per-row loop, so
-    // scores are bit-identical.
+  if (euclidean) {
+    // Query pairs share one pass over the train matrix (each train row is
+    // loaded once and feeds both queries' dot chains), then each query's
+    // sqrt / selection / vote runs on its own distance vector.  The
+    // q² - 2q·x + |x|² expression matches a per-pair loop, so scores are
+    // bit-identical to it.
     std::vector<double> d2b(n_train);
     std::size_t q = 0;
     for (; q + 2 <= x.rows(); q += 2) {
@@ -80,32 +79,24 @@ void KNearestNeighbors::predict_score_into(const Matrix& x,
       squared_distance_from_norms_block2(query0, dot(query0, query0),
                                          query1, dot(query1, query1),
                                          train_x_, train_sq_norms_, d2, d2b);
-      out[q] = score_from_squared_distances(d2, k, reference, dist);
-      out[q + 1] = score_from_squared_distances(d2b, k, reference, dist);
+      out[q] = score_from_squared_distances(d2, k, dist);
+      out[q + 1] = score_from_squared_distances(d2b, k, dist);
     }
     for (; q < x.rows(); ++q) {
       const auto query = x.row(q);
       squared_distance_from_norms_block(query, dot(query, query), train_x_,
                                         train_sq_norms_, d2);
-      out[q] = score_from_squared_distances(d2, k, reference, dist);
+      out[q] = score_from_squared_distances(d2, k, dist);
     }
     return;
   }
 
   for (std::size_t q = 0; q < x.rows(); ++q) {
     const auto query = x.row(q);
-    if (euclidean) {
-      const double query_sq = dot(query, query);
-      for (std::size_t i = 0; i < n_train; ++i) {
-        d2[i] = query_sq - 2.0 * dot(query, train_x_.row(i)) + train_sq_norms_[i];
-      }
-      out[q] = score_from_squared_distances(d2, k, reference, dist);
-      continue;
-    }
     for (std::size_t i = 0; i < n_train; ++i) {
       dist[i] = {minkowski_distance(query, train_x_.row(i), p_), i};
     }
-    if (reference || k * 16 < n_train) {
+    if (k * 16 < n_train) {
       std::partial_sort(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(k),
                         dist.end());
     } else {
@@ -118,19 +109,19 @@ void KNearestNeighbors::predict_score_into(const Matrix& x,
 }
 
 double KNearestNeighbors::score_from_squared_distances(
-    std::span<const double> d2, std::size_t k, bool reference,
+    std::span<const double> d2, std::size_t k,
     std::vector<std::pair<double, std::size_t>>& dist) const {
   const std::size_t n_train = d2.size();
-  if (!reference && k * 16 < n_train) {
+  if (k * 16 < n_train) {
     // Fused bounded-insertion selection with lazy sqrt: scan candidates
     // once, keeping the k best as a sorted prefix of `dist` — no full pair
     // array is ever materialized and no separate selection pass runs.
     //
-    // Exactness vs the reference partial_sort over (sqrt, index) pairs:
+    // Exactness vs a partial_sort over all (sqrt, index) pairs:
     //   - s(v) = sqrt(max(0, v)) is monotone non-decreasing, so a
     //     candidate with d2 >= the current worst's d2 has s >= the worst's
     //     s; when the sqrt values are equal the candidate's strictly later
-    //     index loses the tie-break.  Either way the reference rejects it
+    //     index loses the tie-break.  Either way the full sort rejects it
     //     too, so the cheap d2 gate is exact and sqrt runs only for the
     //     ~k·ln(n) candidates that beat the current worst.
     //   - Insertions compare full (sqrt, index) pairs — a total order —
@@ -167,22 +158,16 @@ double KNearestNeighbors::score_from_squared_distances(
     }
     return vote(dist, k);
   }
+  // Large k: nth_element + sorting the front is O(n + k log k) and moves
+  // each element at most a few times, vs the bounded insertion's O(n log k).
+  // (distance, index) is a total order, so every exact k-smallest algorithm
+  // yields the identical sorted neighbor list.
   for (std::size_t i = 0; i < n_train; ++i) {
     dist[i] = {std::sqrt(std::max(0.0, d2[i])), i};
   }
-  if (reference || k * 16 < n_train) {
-    // Reference selection: a total order means every exact k-smallest
-    // algorithm yields the identical sorted neighbor list.
-    std::partial_sort(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(k),
-                      dist.end());
-  } else {
-    // Large k: nth_element + sorting the front is O(n + k log k) and
-    // moves each element at most a few times, vs the bounded structures'
-    // O(n log k).
-    const auto kth = dist.begin() + static_cast<std::ptrdiff_t>(k);
-    std::nth_element(dist.begin(), kth - 1, dist.end());
-    std::sort(dist.begin(), kth);
-  }
+  const auto kth = dist.begin() + static_cast<std::ptrdiff_t>(k);
+  std::nth_element(dist.begin(), kth - 1, dist.end());
+  std::sort(dist.begin(), kth);
   return vote(dist, k);
 }
 

@@ -42,11 +42,10 @@ class KNearestNeighbors final : public Classifier {
   // of a subtract-square pass.  Recomputed on fit()/load(), not serialized.
   std::vector<double> train_sq_norms_;
 
-  // Shared body of predict_score_into: sqrt + (distance, index) pairing,
+  // Euclidean body of predict_score_into: sqrt + (distance, index) pairing,
   // neighbor selection and vote for one query whose squared distances are
   // already in d2.
-  double score_from_squared_distances(std::span<const double> d2,
-                                      std::size_t k, bool reference,
+  double score_from_squared_distances(std::span<const double> d2, std::size_t k,
                                       std::vector<std::pair<double, std::size_t>>& dist) const;
 
   // (Weighted) vote over the k nearest entries of an already-selected,

@@ -138,7 +138,8 @@ void MultiLayerPerceptron::fit(const Matrix& x, const std::vector<int>& y) {
         activate_layer(act[l + 1], l + 1 == n_layers ? MlpActivation::kLogistic : activation_);
       }
       // Backward.  delta[l] = W[l+1]^T delta[l+1], accumulated row by row
-      // from 0.0 in Matrix::transpose_multiply's order.
+      // from 0.0 in the same order as the W^T * v helper of the fit oracle
+      // (tests/oracle/mlp_fit.cpp).
       const double target = y[i] == 1 ? 1.0 : 0.0;
       delta[n_layers - 1][0] = act[n_layers][0] - target;
       for (std::size_t l = n_layers - 1; l-- > 0;) {
@@ -218,24 +219,6 @@ void MultiLayerPerceptron::predict_score_into(const Matrix& x,
                                               std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
   const std::size_t n_layers = weights_.size();
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    out.resize(x.rows());
-    std::vector<double> act;
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      act.assign(x.row(r).begin(), x.row(r).end());
-      for (std::size_t c = 0; c < act.size(); ++c) {
-        act[c] = (act[c] - feat_mean_[c]) / feat_std_[c];
-      }
-      for (std::size_t l = 0; l < n_layers; ++l) {
-        auto next = weights_[l].multiply(act);
-        for (std::size_t j = 0; j < next.size(); ++j) next[j] += biases_[l][j];
-        activate_layer(next, l + 1 == n_layers ? MlpActivation::kLogistic : activation_);
-        act = std::move(next);
-      }
-      out[r] = act[0];
-    }
-    return;
-  }
   out.resize(x.rows());
   // Double-buffer the activations — same math, no per-layer allocation.
   // dense_layer_into is bit-identical to multiply + bias.

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "linalg/vector_ops.h"
-#include "ml/classifier.h"  // active_predict_kernel()
 
 namespace mlaas {
 
@@ -32,7 +31,7 @@ std::vector<double> KnnRegressor::predict(const Matrix& x) const {
     for (std::size_t i = 0; i < n_train; ++i) {
       dist[i] = {minkowski_distance(query, train_x_.row(i), p_), i};
     }
-    if (active_predict_kernel() == PredictKernel::kReference || k * 16 < n_train) {
+    if (k * 16 < n_train) {
       // (distance, index) is a total order, so every exact k-smallest
       // algorithm selects the identical sorted neighbor list; the bounded
       // heap wins for small k (one compare per candidate, no moves).

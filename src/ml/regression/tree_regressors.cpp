@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "linalg/stats.h"
-#include "ml/classifier.h"  // active_predict_kernel()
 #include "ml/tree/decision_tree.h"
 #include "ml/tree/trainer.h"
 #include "util/rng.h"
@@ -41,11 +40,9 @@ void RegressionTree::fit(const Matrix& x, const std::vector<double>& y) {
 }
 
 std::vector<double> RegressionTree::predict(const Matrix& x) const {
-  if (active_predict_kernel() == PredictKernel::kReference || flat_.empty()) {
-    return tree_.predict(x);
-  }
-  std::vector<double> out(x.rows());
-  flat_.predict_into(x, out);
+  // Before fit() the flat layout holds no tree and every prediction is 0.
+  std::vector<double> out(x.rows(), 0.0);
+  if (!flat_.empty()) flat_.predict_into(x, out);
   return out;
 }
 
@@ -81,11 +78,7 @@ void RandomForestRegressor::fit(const Matrix& x, const std::vector<double>& y) {
 
 std::vector<double> RandomForestRegressor::predict(const Matrix& x) const {
   std::vector<double> out(x.rows(), 0.0);
-  if (active_predict_kernel() == PredictKernel::kReference || flat_.empty()) {
-    for (const auto& tree : trees_) tree.predict_accumulate(x, 1.0, out);
-  } else {
-    flat_.predict_accumulate(x, 1.0, out);
-  }
+  flat_.predict_accumulate(x, 1.0, out);
   const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, trees_.size()));
   for (double& v : out) v *= inv;
   return out;
@@ -131,11 +124,7 @@ void BoostedTreesRegressor::fit(const Matrix& x, const std::vector<double>& y) {
 
 std::vector<double> BoostedTreesRegressor::predict(const Matrix& x) const {
   std::vector<double> out(x.rows(), base_prediction_);
-  if (active_predict_kernel() == PredictKernel::kReference || flat_.empty()) {
-    for (const auto& tree : trees_) tree.predict_accumulate(x, learning_rate_, out);
-  } else {
-    flat_.predict_accumulate(x, learning_rate_, out);
-  }
+  flat_.predict_accumulate(x, learning_rate_, out);
   return out;
 }
 

@@ -40,7 +40,6 @@ class BaggedTrees final : public Classifier {
   };
 
   void rebuild_flat();
-  void reference_predict_score_into(const Matrix& x, std::vector<double>& out) const;
 
   ParamMap params_;
   std::uint64_t seed_;

@@ -77,25 +77,12 @@ std::vector<double> BoostedDecisionTrees::predict_score(const Matrix& x) const {
 void BoostedDecisionTrees::predict_score_into(const Matrix& x,
                                               std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    reference_predict_score_into(x, out);
-    return;
-  }
   // `out` doubles as the raw-score buffer (seeded with the log-odds prior,
   // squashed in place) — no per-call scratch vector.
   out.assign(x.rows(), base_score_);
   flat_.predict_accumulate(x, learning_rate_, out);
   for (double& v : out) v = sigmoid(v);
 }
-
-void BoostedDecisionTrees::reference_predict_score_into(const Matrix& x,
-                                                        std::vector<double>& out) const {
-  out.resize(x.rows());
-  std::vector<double> raw(x.rows(), base_score_);
-  for (const auto& tree : trees_) tree.predict_accumulate(x, learning_rate_, raw);
-  for (std::size_t i = 0; i < raw.size(); ++i) out[i] = sigmoid(raw[i]);
-}
-
 
 void BoostedDecisionTrees::save(std::ostream& out) const {
   save_base(out);

@@ -36,7 +36,6 @@ class BoostedDecisionTrees final : public Classifier {
 
  private:
   void rebuild_flat();
-  void reference_predict_score_into(const Matrix& x, std::vector<double>& out) const;
 
   ParamMap params_;
   std::uint64_t seed_;

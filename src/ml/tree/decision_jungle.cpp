@@ -70,24 +70,11 @@ std::vector<double> DecisionJungle::predict_score(const Matrix& x) const {
 
 void DecisionJungle::predict_score_into(const Matrix& x, std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    reference_predict_score_into(x, out);
-    return;
-  }
   out.assign(x.rows(), 0.0);
   flat_.predict_accumulate(x, 1.0, out);
   const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, dags_.size()));
   for (double& v : out) v *= inv;
 }
-
-void DecisionJungle::reference_predict_score_into(const Matrix& x,
-                                                  std::vector<double>& out) const {
-  out.assign(x.rows(), 0.0);
-  for (const auto& dag : dags_) dag.predict_accumulate(x, 1.0, out);
-  const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, dags_.size()));
-  for (double& v : out) v *= inv;
-}
-
 
 void DecisionJungle::save(std::ostream& out) const {
   save_base(out);

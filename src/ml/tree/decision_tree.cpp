@@ -77,10 +77,6 @@ std::vector<double> DecisionTree::predict_score(const Matrix& x) const {
 
 void DecisionTree::predict_score_into(const Matrix& x, std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    out = tree_.predict(x);
-    return;
-  }
   out.resize(x.rows());
   flat_.predict_into(x, out);
 }

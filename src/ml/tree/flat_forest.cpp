@@ -123,7 +123,7 @@ void FlatForest::predict_accumulate(const Matrix& x, double scale,
   const std::int32_t* right = right_.data();
   // Row-block outer / tree inner: one block of query rows stays hot while
   // every tree scores it.  Per row, leaves accumulate in tree order —
-  // identical arithmetic to the tree-outer reference loop (see walk_rows).
+  // identical arithmetic to a tree-outer loop (see walk_rows).
   for (std::size_t block = 0; block < n; block += kRowBlock) {
     const std::size_t block_end = std::min(n, block + kRowBlock);
     for (const std::int32_t root : roots_) {
@@ -145,7 +145,7 @@ void FlatForest::predict_into(const Matrix& x, std::span<double> out) const {
   const std::int32_t* right = right_.data();
   const std::int32_t root = roots_[0];
   // Assign, not accumulate: "0.0 + value" flips the sign bit of -0.0
-  // leaves, and the single-tree reference (TreeModel::predict) assigns.
+  // leaves, and the per-row tree walk (TreeModel::predict) assigns.
   walk_rows(data, d, feat, thresh, left, right, root, 0, n,
             [&](std::size_t r, double value) { out[r] = value; });
 }

@@ -20,9 +20,12 @@
 // direction (value <= threshold) and out[r] accumulates scale * leaf in
 // tree order per row, exactly like TreeModel::predict_accumulate — row
 // interleaving and block order never reorder any per-element arithmetic,
-// so scores are bit-identical to the reference path.  Bagged column
-// subsets are baked into the node feature indices at build time, replacing
-// the per-node feature_map indirection.
+// so scores are bit-identical to walking the trees one after another.
+// Bagged column subsets are baked into the node feature indices at build
+// time, so a member trained on a column subset scores the full matrix
+// with no per-node feature-map indirection.  The per-tree walks this
+// replaced, remapped one included, are test-only oracles
+// (tests/oracle/predict.h).
 #pragma once
 
 #include <cstdint>

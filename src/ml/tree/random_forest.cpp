@@ -67,24 +67,11 @@ std::vector<double> RandomForest::predict_score(const Matrix& x) const {
 
 void RandomForest::predict_score_into(const Matrix& x, std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  if (active_predict_kernel() == PredictKernel::kReference) {
-    reference_predict_score_into(x, out);
-    return;
-  }
   out.assign(x.rows(), 0.0);
   flat_.predict_accumulate(x, 1.0, out);
   const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, trees_.size()));
   for (double& v : out) v *= inv;
 }
-
-void RandomForest::reference_predict_score_into(const Matrix& x,
-                                                std::vector<double>& out) const {
-  out.assign(x.rows(), 0.0);
-  for (const auto& tree : trees_) tree.predict_accumulate(x, 1.0, out);
-  const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, trees_.size()));
-  for (double& v : out) v *= inv;
-}
-
 
 void RandomForest::save(std::ostream& out) const {
   save_base(out);

@@ -1,7 +1,6 @@
 #include "ml/tree/trainer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -16,8 +15,6 @@ namespace mlaas {
 namespace {
 
 constexpr std::size_t kHardDepthCap = 64;
-
-std::atomic<TreeBuilder> g_builder{TreeBuilder::kFast};
 
 struct NodeStats {
   double n = 0.0;       // sample count
@@ -58,8 +55,8 @@ struct BestSplit {
   double gain = 0.0;
 };
 
-/// Shared gain evaluation: both builders must compare candidates with the
-/// exact same arithmetic for split choices to be bit-identical.
+/// Gain evaluation of one candidate threshold; raises `best` only on a gain
+/// above it by more than 1e-12, so the first of equal candidates wins.
 inline void consider_threshold(double threshold, const NodeStats& left,
                                const PendingNode& p, double parent_imp,
                                SplitCriterion criterion, std::size_t min_samples_leaf,
@@ -77,34 +74,200 @@ inline void consider_threshold(double threshold, const NodeStats& left,
   }
 }
 
-/// The split search + index partition strategy; the breadth-first build
-/// loop is shared between the fast and reference builders.
+/// Division-free screen in front of consider_threshold for the full scan
+/// (DESIGN.md "Screened split scan").  For MSE (k = 1) and Gini (k = 2) the
+/// real-arithmetic gain of a candidate satisfies
+///
+///   gain <= base + k * S / n,   S = s_l^2 / n_l + s_r^2 / n_r,
+///
+/// with base = parent_imp - sumsq / n (MSE) or parent_imp - 2 sum / n (Gini),
+/// because impurity's max(0, .) and clamp only raise a child's impurity above
+/// its quadratic form.  The screen reads the same floating-point inputs as
+/// consider_threshold (left.n/sum/sumsq and the parent stats), so only the
+/// rounding of the two formulas separates them, and `slack` exceeds that by
+/// orders of magnitude: a candidate with S <= cut(best.gain) provably cannot
+/// beat best.gain + 1e-12, and skipping it leaves `best` unchanged.
+template <SplitCriterion C>
+struct GainScreen {
+  static constexpr double k = C == SplitCriterion::kGini ? 2.0 : 1.0;
+
+  GainScreen(const NodeStats& s, double parent_imp)
+      : base(C == SplitCriterion::kGini ? parent_imp - 2.0 * s.sum / s.n
+                                        : parent_imp - s.sumsq / s.n),
+        slack(1e-7 * (std::abs(parent_imp) + std::abs(base) +
+                      2.0 * k * (std::abs(s.sumsq) + std::abs(s.sum)) / s.n)),
+        n_over_k(s.n / k) {}
+
+  /// Candidates with S <= cut(best_gain) cannot win.  A non-finite base or
+  /// slack (NaN/Inf targets, sums near overflow) makes t non-finite, and
+  /// -inf skips nothing: every candidate takes the exact path.
+  double cut(double best_gain) const {
+    const double t = (best_gain + 1e-12 - slack - base) * n_over_k;
+    return std::isfinite(t) ? t : -std::numeric_limits<double>::infinity();
+  }
+
+  double base, slack, n_over_k;
+};
+
+/// Presorted split search over a TreeWorkspace: no per-node sort, linear
+/// scans over gathered scratch, tandem order maintenance on partition.
 class SplitEngine {
  public:
-  SplitEngine(std::span<const double> targets, std::span<const double> hessians,
-              const TreeOptions& opt)
-      : targets_(targets), hessians_(hessians), use_hess_(!hessians.empty()), opt_(opt) {}
-  virtual ~SplitEngine() = default;
+  SplitEngine(TreeWorkspace& ws, std::span<const double> targets,
+              std::span<const double> hessians, const TreeOptions& opt)
+      : targets_(targets), hessians_(hessians), use_hess_(!hessians.empty()), opt_(opt),
+        ws_(ws) {}
 
-  virtual std::size_t n_features() const = 0;
   /// Best split of node p; draws feature samples / random thresholds from rng.
-  virtual BestSplit find_best_split(const PendingNode& p, Rng& rng) = 0;
+  BestSplit find_best_split(const PendingNode& p, Rng& rng) {
+    switch (opt_.criterion) {
+      case SplitCriterion::kGini:
+        return best_split_as<SplitCriterion::kGini>(p, rng);
+      case SplitCriterion::kEntropy:
+        return best_split_as<SplitCriterion::kEntropy>(p, rng);
+      case SplitCriterion::kMse:
+        return best_split_as<SplitCriterion::kMse>(p, rng);
+    }
+    return {};
+  }
+
   /// Partition indices[start, end) for an accepted split; returns mid.
-  virtual std::size_t partition(std::size_t start, std::size_t end,
-                                const BestSplit& split) = 0;
+  std::size_t partition(std::size_t start, std::size_t end, const BestSplit& split) {
+    const double* col = ws_.column(static_cast<std::size_t>(split.feature));
+    auto mid_it = std::partition(
+        indices.begin() + static_cast<std::ptrdiff_t>(start),
+        indices.begin() + static_cast<std::ptrdiff_t>(end),
+        [&](std::size_t idx) { return col[idx] <= split.threshold; });
+    const std::size_t mid = static_cast<std::size_t>(mid_it - indices.begin());
+    if (mid == start || mid == end) return mid;  // degenerate: orders untouched
 
-  std::vector<std::size_t> indices;
+    auto& flags = ws_.goes_left();
+    for (std::size_t i = start; i < mid; ++i) flags[indices[i]] = 1;
+    for (std::size_t i = mid; i < end; ++i) flags[indices[i]] = 0;
+    ws_.tandem_partition(start, mid, end);
+    return mid;
+  }
 
- protected:
+  std::vector<std::size_t> indices;  // node ranges of the breadth-first build
+
+ private:
+  template <SplitCriterion C>
+  BestSplit best_split_as(const PendingNode& p, Rng& rng) {
+    BestSplit best;
+    const double parent_imp = impurity(p.stats, C);
+    const std::size_t m = p.end - p.start;
+    const std::size_t d = ws_.view_cols();
+
+    std::size_t n_feat = opt_.max_features == 0 ? d : std::min(opt_.max_features, d);
+    rng.sample_without_replacement_into(d, n_feat, feat_scratch_);
+
+    double* vals = ws_.value_scratch();
+    double* targs = ws_.target_scratch();
+    double* hesss = ws_.hessian_scratch();
+
+    for (auto f : feat_scratch_) {
+      const double* col = ws_.column(f);
+      const std::uint32_t* ord = ws_.order(f) + p.start;
+      if (col[ord[0]] == col[ord[m - 1]]) continue;  // constant
+
+      if (opt_.random_splits > 0) {
+        // Random thresholds re-scan the prefix per candidate, so gather the
+        // node's presorted values/targets into contiguous scratch once.
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::uint32_t pos = ord[i];
+          vals[i] = col[pos];
+          targs[i] = targets_[pos];
+        }
+        if (use_hess_) {
+          for (std::size_t i = 0; i < m; ++i) hesss[i] = hessians_[ord[i]];
+        }
+        const double lo = vals[0];
+        const double hi = vals[m - 1];
+        for (int s = 0; s < opt_.random_splits; ++s) {
+          const double threshold = rng.uniform(lo, hi);
+          NodeStats left;
+          for (std::size_t i = 0; i < m; ++i) {
+            if (vals[i] > threshold) break;
+            const double t = targs[i];
+            left.n += 1.0;
+            left.sum += t;
+            left.sumsq += t * t;
+            if (use_hess_) left.hess += hesss[i];
+          }
+          consider_threshold(threshold, left, p, parent_imp, C, opt_.min_samples_leaf, f,
+                             best);
+        }
+      } else {
+        full_scan<C>(col, ord, p, parent_imp, f, best);
+      }
+    }
+    return best;
+  }
+
+  /// Single fused pass: accumulate row i-1 into the left stats, then
+  /// evaluate the boundary before row i whenever the value changes.  Same
+  /// accumulation and consider_threshold sequence as a scan of every
+  /// boundary, minus candidates that provably cannot win: a child below
+  /// min_samples_leaf, or (MSE and Gini; entropy has no quadratic bound) a
+  /// gain bound that cannot beat the running best.  Hessians are not folded:
+  /// impurity never reads them.
+  template <SplitCriterion C>
+  void full_scan(const double* col, const std::uint32_t* ord, const PendingNode& p,
+                 double parent_imp, std::size_t f, BestSplit& best) {
+    constexpr bool kScreened = C != SplitCriterion::kEntropy;
+    const std::size_t m = p.end - p.start;
+    const std::size_t min_leaf = opt_.min_samples_leaf;
+    const std::size_t last = m >= min_leaf ? m - min_leaf : 0;
+    const double* inv = ws_.reciprocals();
+    const GainScreen<C> screen(p.stats, parent_imp);
+    double cut = screen.cut(best.gain);
+
+    NodeStats left;
+    double prev = col[ord[0]];
+    {
+      const double t = targets_[ord[0]];
+      left.n += 1.0;
+      left.sum += t;
+      left.sumsq += t * t;
+    }
+    for (std::size_t i = 1; i < m; ++i) {
+      const std::uint32_t pos = ord[i];
+      const double v = col[pos];
+      if (v != prev) {
+        // n_l = i and n_r = m - i.  consider_threshold rejects a child below
+        // min_samples_leaf without touching `best`, so those boundaries are
+        // skipped outright; a NaN proxy fails `s <= cut` and is evaluated.
+        bool exact = i >= min_leaf && i <= last;
+        if constexpr (kScreened) {
+          const double right_sum = p.stats.sum - left.sum;
+          const double s =
+              left.sum * left.sum * inv[i] + right_sum * right_sum * inv[m - i];
+          exact = exact && !(s <= cut);
+        }
+        if (exact) {
+          consider_threshold((prev + v) / 2.0, left, p, parent_imp, C,
+                             opt_.min_samples_leaf, f, best);
+          if constexpr (kScreened) cut = screen.cut(best.gain);
+        }
+        prev = v;
+      }
+      const double t = targets_[pos];
+      left.n += 1.0;
+      left.sum += t;
+      left.sumsq += t * t;
+    }
+  }
+
   std::span<const double> targets_;
   std::span<const double> hessians_;
   bool use_hess_;
   const TreeOptions& opt_;
+  TreeWorkspace& ws_;
+  std::vector<std::size_t> feat_scratch_;
 };
 
-/// Breadth-first CART build over an abstract split engine.  Moved verbatim
-/// from the original TreeModel::fit; node statistics fold over the shared
-/// index buffer so both engines produce the same bytes.
+/// Breadth-first CART build over the split engine.  Node statistics fold
+/// over the engine's index buffer in node order.
 void build_cart(std::vector<TreeNode>& nodes, SplitEngine& engine, std::size_t n,
                 std::span<const double> targets, std::span<const double> hessians,
                 const TreeOptions& opt) {
@@ -189,283 +352,7 @@ void build_cart(std::vector<TreeNode>& nodes, SplitEngine& engine, std::size_t n
   }
 }
 
-/// The original per-node re-sorting split search.
-class ReferenceEngine final : public SplitEngine {
- public:
-  ReferenceEngine(const Matrix& x, std::span<const double> targets,
-                  std::span<const double> hessians, const TreeOptions& opt)
-      : SplitEngine(targets, hessians, opt), x_(x) {}
-
-  std::size_t n_features() const override { return x_.cols(); }
-
-  BestSplit find_best_split(const PendingNode& p, Rng& rng) override {
-    BestSplit best;
-    const double parent_imp = impurity(p.stats, opt_.criterion);
-    const std::size_t n_node = p.end - p.start;
-    const std::size_t d = x_.cols();
-
-    std::size_t n_feat = opt_.max_features == 0 ? d : std::min(opt_.max_features, d);
-    auto feats = rng.sample_without_replacement(d, n_feat);
-
-    for (auto f : feats) {
-      sorted_buf_.clear();
-      sorted_buf_.reserve(n_node);
-      for (std::size_t i = p.start; i < p.end; ++i) {
-        sorted_buf_.emplace_back(x_(indices[i], f), indices[i]);
-      }
-      // (value, row) order, like the fast builder's presort: summation order
-      // inside a tie group decides real-valued MSE folds.
-      std::sort(sorted_buf_.begin(), sorted_buf_.end());
-      if (sorted_buf_.front().first == sorted_buf_.back().first) continue;  // constant
-
-      if (opt_.random_splits > 0) {
-        // Extremely-randomized mode: random thresholds in (min, max).
-        const double lo = sorted_buf_.front().first;
-        const double hi = sorted_buf_.back().first;
-        for (int s = 0; s < opt_.random_splits; ++s) {
-          const double threshold = rng.uniform(lo, hi);
-          NodeStats left;
-          for (const auto& [v, idx] : sorted_buf_) {
-            if (v > threshold) break;
-            const double t = targets_[idx];
-            left.n += 1.0;
-            left.sum += t;
-            left.sumsq += t * t;
-            if (use_hess_) left.hess += hessians_[idx];
-          }
-          consider_threshold(threshold, left, p, parent_imp, opt_.criterion,
-                             opt_.min_samples_leaf, f, best);
-        }
-      } else {
-        // Full scan over boundaries between distinct values.
-        NodeStats left;
-        for (std::size_t i = 0; i + 1 < sorted_buf_.size(); ++i) {
-          const auto& [v, idx] = sorted_buf_[i];
-          const double t = targets_[idx];
-          left.n += 1.0;
-          left.sum += t;
-          left.sumsq += t * t;
-          if (use_hess_) left.hess += hessians_[idx];
-          const double next_v = sorted_buf_[i + 1].first;
-          if (v == next_v) continue;
-          consider_threshold((v + next_v) / 2.0, left, p, parent_imp, opt_.criterion,
-                             opt_.min_samples_leaf, f, best);
-        }
-      }
-    }
-    return best;
-  }
-
-  std::size_t partition(std::size_t start, std::size_t end,
-                        const BestSplit& split) override {
-    auto mid_it = std::partition(
-        indices.begin() + static_cast<std::ptrdiff_t>(start),
-        indices.begin() + static_cast<std::ptrdiff_t>(end), [&](std::size_t idx) {
-          return x_(idx, static_cast<std::size_t>(split.feature)) <= split.threshold;
-        });
-    return static_cast<std::size_t>(mid_it - indices.begin());
-  }
-
- private:
-  const Matrix& x_;
-  std::vector<std::pair<double, std::size_t>> sorted_buf_;  // (value, index)
-};
-
-/// Division-free screen in front of consider_threshold for the full scan
-/// (DESIGN.md "Screened split scan").  For MSE (k = 1) and Gini (k = 2) the
-/// real-arithmetic gain of a candidate satisfies
-///
-///   gain <= base + k * S / n,   S = s_l^2 / n_l + s_r^2 / n_r,
-///
-/// with base = parent_imp - sumsq / n (MSE) or parent_imp - 2 sum / n (Gini),
-/// because impurity's max(0, .) and clamp only raise a child's impurity above
-/// its quadratic form.  The screen reads the same floating-point inputs as
-/// consider_threshold (left.n/sum/sumsq and the parent stats), so only the
-/// rounding of the two formulas separates them, and `slack` exceeds that by
-/// orders of magnitude: a candidate with S <= cut(best.gain) provably cannot
-/// beat best.gain + 1e-12, and skipping it leaves `best` unchanged.
-template <SplitCriterion C>
-struct GainScreen {
-  static constexpr double k = C == SplitCriterion::kGini ? 2.0 : 1.0;
-
-  GainScreen(const NodeStats& s, double parent_imp)
-      : base(C == SplitCriterion::kGini ? parent_imp - 2.0 * s.sum / s.n
-                                        : parent_imp - s.sumsq / s.n),
-        slack(1e-7 * (std::abs(parent_imp) + std::abs(base) +
-                      2.0 * k * (std::abs(s.sumsq) + std::abs(s.sum)) / s.n)),
-        n_over_k(s.n / k) {}
-
-  /// Candidates with S <= cut(best_gain) cannot win.  A non-finite base or
-  /// slack (NaN/Inf targets, sums near overflow) makes t non-finite, and
-  /// -inf skips nothing: every candidate takes the exact path.
-  double cut(double best_gain) const {
-    const double t = (best_gain + 1e-12 - slack - base) * n_over_k;
-    return std::isfinite(t) ? t : -std::numeric_limits<double>::infinity();
-  }
-
-  double base, slack, n_over_k;
-};
-
-/// Presorted split search over a TreeWorkspace: no per-node sort, linear
-/// scans over gathered scratch, tandem order maintenance on partition.
-class FastEngine final : public SplitEngine {
- public:
-  FastEngine(TreeWorkspace& ws, std::span<const double> targets,
-             std::span<const double> hessians, const TreeOptions& opt)
-      : SplitEngine(targets, hessians, opt), ws_(ws) {}
-
-  std::size_t n_features() const override { return ws_.view_cols(); }
-
-  BestSplit find_best_split(const PendingNode& p, Rng& rng) override {
-    switch (opt_.criterion) {
-      case SplitCriterion::kGini:
-        return best_split_as<SplitCriterion::kGini>(p, rng);
-      case SplitCriterion::kEntropy:
-        return best_split_as<SplitCriterion::kEntropy>(p, rng);
-      case SplitCriterion::kMse:
-        return best_split_as<SplitCriterion::kMse>(p, rng);
-    }
-    return {};
-  }
-
-  std::size_t partition(std::size_t start, std::size_t end,
-                        const BestSplit& split) override {
-    const double* col = ws_.column(static_cast<std::size_t>(split.feature));
-    auto mid_it = std::partition(
-        indices.begin() + static_cast<std::ptrdiff_t>(start),
-        indices.begin() + static_cast<std::ptrdiff_t>(end),
-        [&](std::size_t idx) { return col[idx] <= split.threshold; });
-    const std::size_t mid = static_cast<std::size_t>(mid_it - indices.begin());
-    if (mid == start || mid == end) return mid;  // degenerate: orders untouched
-
-    auto& flags = ws_.goes_left();
-    for (std::size_t i = start; i < mid; ++i) flags[indices[i]] = 1;
-    for (std::size_t i = mid; i < end; ++i) flags[indices[i]] = 0;
-    ws_.tandem_partition(start, mid, end);
-    return mid;
-  }
-
- private:
-  template <SplitCriterion C>
-  BestSplit best_split_as(const PendingNode& p, Rng& rng) {
-    BestSplit best;
-    const double parent_imp = impurity(p.stats, C);
-    const std::size_t m = p.end - p.start;
-    const std::size_t d = ws_.view_cols();
-
-    std::size_t n_feat = opt_.max_features == 0 ? d : std::min(opt_.max_features, d);
-    rng.sample_without_replacement_into(d, n_feat, feat_scratch_);
-
-    double* vals = ws_.value_scratch();
-    double* targs = ws_.target_scratch();
-    double* hesss = ws_.hessian_scratch();
-
-    for (auto f : feat_scratch_) {
-      const double* col = ws_.column(f);
-      const std::uint32_t* ord = ws_.order(f) + p.start;
-      if (col[ord[0]] == col[ord[m - 1]]) continue;  // constant
-
-      if (opt_.random_splits > 0) {
-        // Random thresholds re-scan the prefix per candidate, so gather the
-        // node's presorted values/targets into contiguous scratch once.
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::uint32_t pos = ord[i];
-          vals[i] = col[pos];
-          targs[i] = targets_[pos];
-        }
-        if (use_hess_) {
-          for (std::size_t i = 0; i < m; ++i) hesss[i] = hessians_[ord[i]];
-        }
-        const double lo = vals[0];
-        const double hi = vals[m - 1];
-        for (int s = 0; s < opt_.random_splits; ++s) {
-          const double threshold = rng.uniform(lo, hi);
-          NodeStats left;
-          for (std::size_t i = 0; i < m; ++i) {
-            if (vals[i] > threshold) break;
-            const double t = targs[i];
-            left.n += 1.0;
-            left.sum += t;
-            left.sumsq += t * t;
-            if (use_hess_) left.hess += hesss[i];
-          }
-          consider_threshold(threshold, left, p, parent_imp, C, opt_.min_samples_leaf, f,
-                             best);
-        }
-      } else {
-        full_scan<C>(col, ord, p, parent_imp, f, best);
-      }
-    }
-    return best;
-  }
-
-  /// Single fused pass: accumulate row i-1 into the left stats, then
-  /// evaluate the boundary before row i whenever the value changes.  Same
-  /// accumulation and consider_threshold sequence as the reference scan,
-  /// minus candidates that provably cannot win: a child below
-  /// min_samples_leaf, or (MSE and Gini; entropy has no quadratic bound) a
-  /// gain bound that cannot beat the running best.  Hessians are not folded:
-  /// impurity never reads them.
-  template <SplitCriterion C>
-  void full_scan(const double* col, const std::uint32_t* ord, const PendingNode& p,
-                 double parent_imp, std::size_t f, BestSplit& best) {
-    constexpr bool kScreened = C != SplitCriterion::kEntropy;
-    const std::size_t m = p.end - p.start;
-    const std::size_t min_leaf = opt_.min_samples_leaf;
-    const std::size_t last = m >= min_leaf ? m - min_leaf : 0;
-    const double* inv = ws_.reciprocals();
-    const GainScreen<C> screen(p.stats, parent_imp);
-    double cut = screen.cut(best.gain);
-
-    NodeStats left;
-    double prev = col[ord[0]];
-    {
-      const double t = targets_[ord[0]];
-      left.n += 1.0;
-      left.sum += t;
-      left.sumsq += t * t;
-    }
-    for (std::size_t i = 1; i < m; ++i) {
-      const std::uint32_t pos = ord[i];
-      const double v = col[pos];
-      if (v != prev) {
-        // n_l = i and n_r = m - i.  consider_threshold rejects a child below
-        // min_samples_leaf without touching `best`, so those boundaries are
-        // skipped outright; a NaN proxy fails `s <= cut` and is evaluated.
-        bool exact = i >= min_leaf && i <= last;
-        if constexpr (kScreened) {
-          const double right_sum = p.stats.sum - left.sum;
-          const double s =
-              left.sum * left.sum * inv[i] + right_sum * right_sum * inv[m - i];
-          exact = exact && !(s <= cut);
-        }
-        if (exact) {
-          consider_threshold((prev + v) / 2.0, left, p, parent_imp, C,
-                             opt_.min_samples_leaf, f, best);
-          if constexpr (kScreened) cut = screen.cut(best.gain);
-        }
-        prev = v;
-      }
-      const double t = targets_[pos];
-      left.n += 1.0;
-      left.sum += t;
-      left.sumsq += t * t;
-    }
-  }
-
-  TreeWorkspace& ws_;
-  std::vector<std::size_t> feat_scratch_;
-};
-
 }  // namespace
-
-TreeBuilder active_tree_builder() {
-  return g_builder.load(std::memory_order_relaxed);
-}
-
-void set_active_tree_builder(TreeBuilder builder) {
-  g_builder.store(builder, std::memory_order_relaxed);
-}
 
 std::shared_ptr<const TreeTrainBase> TreeTrainBase::build(const Matrix& x) {
   auto base = std::make_shared<TreeTrainBase>();
@@ -754,31 +641,10 @@ void train_tree(TreeModel& tree, TreeWorkspace& workspace, const Matrix& x,
                 std::span<const double> targets, std::span<const double> hessians,
                 const TreeOptions& options, std::span<const std::size_t> rows,
                 std::span<const std::size_t> features) {
-  if (active_tree_builder() == TreeBuilder::kReference) {
-    // Materialize the view exactly like the pre-workspace ensembles did.
-    if (rows.empty() && features.empty()) {
-      ReferenceTreeBuilder::fit(tree, x, targets, hessians, options);
-    } else {
-      Matrix view = rows.empty() ? x : x.select_rows(rows);
-      if (!features.empty()) view = view.select_cols(features);
-      ReferenceTreeBuilder::fit(tree, view, targets, hessians, options);
-    }
-    return;
-  }
   workspace.bind(x, rows, features);
-  FastEngine engine(workspace, targets, hessians, options);
+  SplitEngine engine(workspace, targets, hessians, options);
   std::vector<TreeNode> nodes;
   build_cart(nodes, engine, workspace.view_rows(), targets, hessians, options);
-  tree.set_nodes(std::move(nodes));
-}
-
-void ReferenceTreeBuilder::fit(TreeModel& tree, const Matrix& x,
-                               std::span<const double> targets,
-                               std::span<const double> hessians,
-                               const TreeOptions& options) {
-  ReferenceEngine engine(x, targets, hessians, options);
-  std::vector<TreeNode> nodes;
-  build_cart(nodes, engine, x.rows(), targets, hessians, options);
   tree.set_nodes(std::move(nodes));
 }
 

@@ -23,11 +23,11 @@
 // with no per-tree sort at all.
 //
 // Exact equivalence: train_tree() visits the same candidate thresholds in
-// the same order as ReferenceTreeBuilder (the original builder, kept below
-// for tests and benchmarks), draws from the RNG at the same points, and
-// computes node statistics over the same index-buffer folds, so chosen
-// splits, tie-breaks and serialized nodes are bit-identical.  See
-// DESIGN.md "Training kernels" for the full argument.
+// the same order as the original builder, draws from the RNG at the same
+// points, and computes node statistics over the same index-buffer folds, so
+// chosen splits, tie-breaks and serialized nodes are bit-identical.  That
+// builder is kept verbatim as a test-only oracle (tests/oracle/tree_fit.h),
+// not in the library; see DESIGN.md "Training kernels" for the argument.
 #pragma once
 
 #include <cstdint>
@@ -42,16 +42,6 @@
 #include "ml/tree/tree_model.h"
 
 namespace mlaas {
-
-/// Which builder train_tree() (and therefore TreeModel::fit and every
-/// tree-family classifier) dispatches to.  kReference runs the original
-/// per-node re-sorting builder; it exists so tests and benchmarks can
-/// assert byte-identity and measure the speedup.  Not meant to be flipped
-/// while fits are in flight.
-enum class TreeBuilder { kFast, kReference };
-
-TreeBuilder active_tree_builder();
-void set_active_tree_builder(TreeBuilder builder);
 
 /// The immutable, matrix-only half of the presort scheme: the feature-major
 /// column cache and the per-feature presorted base orders.  Depends only on
@@ -228,19 +218,13 @@ class TreeWorkspace {
 
 /// Train `tree` on a view of `x` (optionally a bootstrap row multiset
 /// and/or feature subset) through `workspace`.  Targets/hessians are
-/// indexed by view row.  Honors active_tree_builder(): the reference
-/// builder materializes the view like the pre-workspace ensembles did.
+/// indexed by view row.  Fits what a fit on the materialized view
+/// (x.select_rows(rows), then select_cols(features)) would, without
+/// building it; DESIGN.md "Training kernels" notes the one freedom, the
+/// fold order inside tie groups of a bootstrap view.
 void train_tree(TreeModel& tree, TreeWorkspace& workspace, const Matrix& x,
                 std::span<const double> targets, std::span<const double> hessians,
                 const TreeOptions& options, std::span<const std::size_t> rows = {},
                 std::span<const std::size_t> features = {});
-
-/// The original per-node re-sorting builder, preserved verbatim so tests
-/// can assert node-for-node equality and benchmarks can measure speedup.
-class ReferenceTreeBuilder {
- public:
-  static void fit(TreeModel& tree, const Matrix& x, std::span<const double> targets,
-                  std::span<const double> hessians, const TreeOptions& options);
-};
 
 }  // namespace mlaas

@@ -35,8 +35,7 @@ std::vector<double> TreeModel::predict(const Matrix& x) const {
 }
 
 void TreeModel::predict_accumulate(const Matrix& x, double scale,
-                                   std::span<double> out,
-                                   std::span<const std::size_t> feature_map) const {
+                                   std::span<double> out) const {
   constexpr std::size_t kBlock = 256;
   const std::size_t n = x.rows();
   if (nodes_.empty()) {
@@ -45,15 +44,13 @@ void TreeModel::predict_accumulate(const Matrix& x, double scale,
     return;
   }
   const TreeNode* nodes = nodes_.data();
-  const bool remap = !feature_map.empty();
   for (std::size_t block = 0; block < n; block += kBlock) {
     const std::size_t block_end = std::min(n, block + kBlock);
     for (std::size_t r = block; r < block_end; ++r) {
       const auto row = x.row(r);
       const TreeNode* node = nodes;
       while (node->feature >= 0) {
-        const auto f = static_cast<std::size_t>(node->feature);
-        const double v = row[remap ? feature_map[f] : f];
+        const double v = row[static_cast<std::size_t>(node->feature)];
         node = nodes + (v <= node->threshold ? node->left : node->right);
       }
       out[r] += scale * node->value;

@@ -10,9 +10,10 @@
 //
 // Trees are built breadth-first so node budgets (max_nodes, BigML's
 // "node threshold") and level-width budgets are enforced fairly.  The
-// actual training kernels live in ml/tree/trainer.{h,cpp}: fit() routes
-// through the presort workspace kernel (or the reference builder, when
-// selected for tests/benchmarks).
+// training kernel lives in ml/tree/trainer.{h,cpp}: fit() runs the presort
+// workspace builder, the only builder in the library.  The per-node
+// re-sorting builder it replaced is a test-only oracle
+// (tests/oracle/tree_fit.h) that the equivalence suites compare against.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +62,9 @@ class TreeModel {
   std::vector<double> predict(const Matrix& x) const;
 
   /// out[r] += scale * prediction(row r), traversed in row blocks with no
-  /// per-tree temporary vector — the ensemble accumulation hot path.  When
-  /// `feature_map` is non-empty, node feature f reads x(r, feature_map[f])
-  /// (bagged members trained on a column subset predict without
-  /// materializing the subset matrix).
-  void predict_accumulate(const Matrix& x, double scale, std::span<double> out,
-                          std::span<const std::size_t> feature_map = {}) const;
+  /// per-tree temporary vector.  Boosting's fit updates its raw scores with
+  /// it; fitted ensembles score through FlatForest, which is bit-identical.
+  void predict_accumulate(const Matrix& x, double scale, std::span<double> out) const;
 
   /// Serialize/restore the node array (see ml/serialize.h framing).
   void save(std::ostream& out) const;

@@ -103,7 +103,7 @@ TEST(RunMeasurements, CoversAllPlatformsAndDatasets) {
   platforms.push_back(make_platform("Google"));
   platforms.push_back(make_platform("Amazon"));
   platforms.push_back(make_platform("PredictionIO"));
-  const auto table = run_measurements(tiny_corpus(), platforms, fast_options());
+  const auto table = run_campaign(tiny_corpus(), platforms, fast_options()).table;
   EXPECT_EQ(table.platforms().size(), 3u);
   EXPECT_EQ(table.dataset_ids().size(), 2u);
   EXPECT_GT(table.size(), 10u);
@@ -116,8 +116,8 @@ TEST(RunMeasurements, DeterministicUnderThreading) {
   serial.threads = 1;
   MeasurementOptions parallel = fast_options();
   parallel.threads = 4;
-  const auto a = run_measurements(tiny_corpus(), platforms, serial);
-  const auto b = run_measurements(tiny_corpus(), platforms, parallel);
+  const auto a = run_campaign(tiny_corpus(), platforms, serial).table;
+  const auto b = run_campaign(tiny_corpus(), platforms, parallel).table;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.rows()[i].params, b.rows()[i].params);

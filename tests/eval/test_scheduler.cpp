@@ -15,8 +15,6 @@
 #include "data/generators.h"
 #include "eval/journal.h"
 #include "eval/measurement.h"
-#include "ml/classifier.h"
-#include "ml/tree/trainer.h"
 
 namespace mlaas {
 namespace {
@@ -149,21 +147,6 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossThreadsAndSchedules) 
   expect_identical_across_schedules(fast_options());
 }
 
-TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossTreeBuilders) {
-  // The presort training kernel must be invisible at campaign level: a run
-  // with the fast builder produces the same masked table and journal bytes
-  // as a run through ReferenceTreeBuilder (the pre-kernel per-node-sort
-  // path every earlier campaign used).
-  const MeasurementOptions opt = fast_options();
-  set_active_tree_builder(TreeBuilder::kReference);
-  const RunArtifacts reference = run_once(opt, 2, Schedule::kStatic);
-  set_active_tree_builder(TreeBuilder::kFast);
-  ASSERT_FALSE(reference.table.empty());
-  const RunArtifacts fast = run_once(opt, 2, Schedule::kStatic);
-  EXPECT_EQ(fast.table, reference.table);
-  EXPECT_EQ(fast.journal, reference.journal);
-}
-
 TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossTrainStateReuse) {
   // The session-scoped TrainContext (shared tree presorts + kNN norms
   // across a session's cells) must be invisible at campaign level: with
@@ -216,20 +199,6 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossFeatureStepReuse) {
   const RunArtifacts run = run_once(reused, 2, Schedule::kStatic, roster());
   EXPECT_EQ(run.table, reference.table);
   EXPECT_EQ(run.journal, reference.journal);
-}
-
-TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossPredictKernels) {
-  // The flat prediction kernels must be invisible at campaign level: a run
-  // under PredictKernel::kReference (the pre-kernel per-row walks) produces
-  // the same masked table and journal bytes as the flat default.
-  const MeasurementOptions opt = fast_options();
-  set_active_predict_kernel(PredictKernel::kReference);
-  const RunArtifacts reference = run_once(opt, 2, Schedule::kStatic);
-  set_active_predict_kernel(PredictKernel::kFlat);
-  ASSERT_FALSE(reference.table.empty());
-  const RunArtifacts flat = run_once(opt, 2, Schedule::kStatic);
-  EXPECT_EQ(flat.table, reference.table);
-  EXPECT_EQ(flat.journal, reference.journal);
 }
 
 TEST(CampaignScheduler, InvariantUnderFaultsChaosAndBreakers) {

@@ -81,12 +81,6 @@ TEST(Matrix, MatrixVectorMultiply) {
   EXPECT_EQ(m.multiply(v), (std::vector<double>{3, 7}));
 }
 
-TEST(Matrix, TransposeMultiply) {
-  Matrix m{{1, 2}, {3, 4}};
-  const std::vector<double> v{1, 1};
-  EXPECT_EQ(m.transpose_multiply(v), (std::vector<double>{4, 6}));
-}
-
 TEST(Matrix, MatrixMatrixMultiply) {
   Matrix a{{1, 2}, {3, 4}};
   Matrix b{{0, 1}, {1, 0}};

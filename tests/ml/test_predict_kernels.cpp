@@ -1,10 +1,11 @@
-// Flat-vs-reference prediction kernel equivalence: for EVERY registry
-// classifier and regressor, predict_score / predict / predict must be
-// BIT-identical under PredictKernel::kFlat and PredictKernel::kReference,
-// across query block sizes that exercise the blocked bodies, the lane
-// remainders, and the single-row path.  Also locks the kNN selection
-// strategies against a full-sort oracle and the scratch-buffer reuse fixes
-// (repeat calls, serialization round trips).
+// Prediction kernel equivalence: for EVERY registry classifier,
+// predict_score / predict must be BIT-identical to the per-row reference
+// loops kept in tests/oracle/predict.h, across query block sizes that
+// exercise the blocked bodies, the lane remainders, and the single-row path;
+// every registry regressor must predict the same bits at every block size.
+// Also locks the kNN selection strategies (classifier and regressor) against
+// a full-sort oracle and the scratch-buffer reuse fixes (repeat calls,
+// serialization round trips).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,22 +22,10 @@
 #include "ml/registry.h"
 #include "ml/regression/regressor.h"
 #include "ml/serialize.h"
+#include "tests/oracle/predict.h"
 
 namespace mlaas {
 namespace {
-
-// RAII toggle so a failing assertion cannot leak kReference into other
-// tests in the same process.
-class KernelGuard {
- public:
-  explicit KernelGuard(PredictKernel k) : prev_(active_predict_kernel()) {
-    set_active_predict_kernel(k);
-  }
-  ~KernelGuard() { set_active_predict_kernel(prev_); }
-
- private:
-  PredictKernel prev_;
-};
 
 void expect_bits_equal(const std::vector<double>& got,
                        const std::vector<double>& want, const std::string& what) {
@@ -82,25 +71,12 @@ TEST_P(PredictKernelEquivalence, ScoresAndLabelsBitIdenticalAcrossBlockSizes) {
   const Dataset ds = train_data();
   auto clf = make_classifier(GetParam(), {}, 77);
   clf->fit(ds.x(), ds.y());
+  const oracle::ReferencePredictor reference(*clf);
   for (const std::size_t rows : kBlockSizes) {
     const Matrix q = query_block(rows);
-    std::vector<double> reference_scores;
-    std::vector<int> reference_labels;
-    {
-      KernelGuard guard(PredictKernel::kReference);
-      reference_scores = clf->predict_score(q);
-      reference_labels = clf->predict(q);
-    }
-    std::vector<double> flat_scores;
-    std::vector<int> flat_labels;
-    {
-      KernelGuard guard(PredictKernel::kFlat);
-      flat_scores = clf->predict_score(q);
-      flat_labels = clf->predict(q);
-    }
-    expect_bits_equal(flat_scores, reference_scores,
+    expect_bits_equal(clf->predict_score(q), reference.predict_score(q),
                       GetParam() + " scores, block=" + std::to_string(rows));
-    EXPECT_EQ(flat_labels, reference_labels)
+    EXPECT_EQ(clf->predict(q), reference.predict(q))
         << GetParam() << " labels, block=" << rows;
   }
 }
@@ -112,7 +88,6 @@ TEST_P(PredictKernelEquivalence, RepeatCallsReuseScratchWithoutDrift) {
   const Dataset ds = train_data(31);
   auto clf = make_classifier(GetParam(), {}, 9);
   clf->fit(ds.x(), ds.y());
-  KernelGuard guard(PredictKernel::kFlat);
   const Matrix big = query_block(64);
   const Matrix small = query_block(3);
   const auto big_first = clf->predict_score(big);
@@ -131,11 +106,14 @@ TEST_P(PredictKernelEquivalence, SerializationRoundTripKeepsBothKernels) {
   save_model(buffer, *original);
   const ClassifierPtr restored = load_model(buffer);
   const Matrix q = query_block(65);
-  for (const PredictKernel kernel : {PredictKernel::kFlat, PredictKernel::kReference}) {
-    KernelGuard guard(kernel);
-    expect_bits_equal(restored->predict_score(q), original->predict_score(q),
-                      GetParam() + " restored scores");
-  }
+  // load() rebuilds the inference layouts (flattened forests, kNN norms);
+  // both the restored model and the oracle read from its bytes must score
+  // exactly like the original.
+  const auto original_scores = original->predict_score(q);
+  expect_bits_equal(restored->predict_score(q), original_scores,
+                    GetParam() + " restored scores");
+  expect_bits_equal(oracle::ReferencePredictor(*restored).predict_score(q), original_scores,
+                    GetParam() + " oracle scores of the restored model");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, PredictKernelEquivalence,
@@ -147,6 +125,10 @@ INSTANTIATE_TEST_SUITE_P(AllClassifiers, PredictKernelEquivalence,
 class PredictKernelRegressors : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PredictKernelRegressors, PredictionsBitIdenticalAcrossBlockSizes) {
+  // A row's prediction must not depend on the block it arrives in: every
+  // block size gives the bits of scoring each row on its own.  The tree
+  // regressors' FlatForest walks are checked against the per-tree oracle
+  // walk in test_flat_forest.cpp, knn_regressor's selection below.
   const Dataset ds = train_data(51);
   std::vector<double> targets(ds.n_samples());
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -156,17 +138,13 @@ TEST_P(PredictKernelRegressors, PredictionsBitIdenticalAcrossBlockSizes) {
   reg->fit(ds.x(), targets);
   for (const std::size_t rows : kBlockSizes) {
     const Matrix q = query_block(rows);
-    std::vector<double> reference;
-    {
-      KernelGuard guard(PredictKernel::kReference);
-      reference = reg->predict(q);
+    std::vector<double> one_by_one(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Matrix single(1, q.cols());
+      std::copy(q.row(r).begin(), q.row(r).end(), single.row(0).begin());
+      one_by_one[r] = reg->predict(single)[0];
     }
-    std::vector<double> flat;
-    {
-      KernelGuard guard(PredictKernel::kFlat);
-      flat = reg->predict(q);
-    }
-    expect_bits_equal(flat, reference,
+    expect_bits_equal(reg->predict(q), one_by_one,
                       GetParam() + " predictions, block=" + std::to_string(rows));
   }
 }
@@ -177,17 +155,8 @@ INSTANTIATE_TEST_SUITE_P(AllRegressors, PredictKernelRegressors,
                            return info.param;
                          });
 
-TEST(PredictKernelToggle, RoundTripsAndDefaultsToFlat) {
-  const PredictKernel initial = active_predict_kernel();
-  EXPECT_EQ(initial, PredictKernel::kFlat);
-  set_active_predict_kernel(PredictKernel::kReference);
-  EXPECT_EQ(active_predict_kernel(), PredictKernel::kReference);
-  set_active_predict_kernel(PredictKernel::kFlat);
-  EXPECT_EQ(active_predict_kernel(), PredictKernel::kFlat);
-}
-
-// Oracle for the kNN paths: the full-sort selection every faster strategy
-// (partial_sort, fused bounded insertion, nth_element) must reproduce
+// Oracle for the kNN classifier: the full-sort selection every faster
+// strategy (partial_sort, fused bounded insertion, nth_element) must reproduce
 // exactly — same distance expression, same (distance, index) total order,
 // same sorted-order weighted vote.  p = 2 uses the euclidean norm
 // expansion; p = 1 the general Minkowski formula minkowski_distance had
@@ -237,7 +206,8 @@ TEST_P(PredictKernelKnnSelection, MatchesFullSortOracleOnBothKernels) {
   // k = 5 on 400 train rows drives the small-k branch (5 * 16 < 400: fused
   // bounded insertion for p = 2, partial_sort for p = 1); k = 40 drives the
   // nth_element branch (40 * 16 >= 400).  Both must agree with the
-  // full-sort oracle bit for bit, under uniform and distance weights.
+  // full-sort oracle bit for bit, under uniform and distance weights, and
+  // so must the per-row reference loop.
   const double p = std::get<0>(GetParam());
   const int k = std::get<1>(GetParam());
   const std::string weights = std::get<2>(GetParam());
@@ -249,15 +219,13 @@ TEST_P(PredictKernelKnnSelection, MatchesFullSortOracleOnBothKernels) {
   auto clf = make_classifier("knn", params, 3);
   clf->fit(ds.x(), ds.y());
   const Matrix q = query_block(50);
-  const std::vector<double> oracle = knn_full_sort_scores(
+  const std::vector<double> full_sort = knn_full_sort_scores(
       ds.x(), ds.y(), q, p, static_cast<std::size_t>(k), weights == "distance");
-  for (const PredictKernel kernel : {PredictKernel::kFlat, PredictKernel::kReference}) {
-    KernelGuard guard(kernel);
-    expect_bits_equal(clf->predict_score(q), oracle,
-                      "knn p=" + std::to_string(p) + " k=" + std::to_string(k) +
-                          " weights=" + weights +
-                          (kernel == PredictKernel::kFlat ? " (flat)" : " (reference)"));
-  }
+  const std::string label =
+      "knn p=" + std::to_string(p) + " k=" + std::to_string(k) + " weights=" + weights;
+  expect_bits_equal(clf->predict_score(q), full_sort, label);
+  expect_bits_equal(oracle::ReferencePredictor(*clf).predict_score(q), full_sort,
+                    label + " (reference loop)");
 }
 
 std::string knn_selection_name(
@@ -274,6 +242,72 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     Manhattan, PredictKernelKnnSelection,
+    ::testing::Combine(::testing::Values(1.0), ::testing::Values(5, 40),
+                       ::testing::Values("uniform", "distance")),
+    knn_selection_name);
+
+// Oracle for knn_regressor: every training row's distance, a full sort of
+// the (distance, index) pairs, then the (weighted) mean of the first k
+// targets in sorted order.
+std::vector<double> knn_regressor_full_sort(const Matrix& train_x,
+                                            const std::vector<double>& train_y,
+                                            const Matrix& queries, double p, std::size_t k,
+                                            bool distance_weighted) {
+  std::vector<double> out(queries.rows());
+  std::vector<std::pair<double, std::size_t>> dist(train_x.rows());
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    for (std::size_t i = 0; i < train_x.rows(); ++i) {
+      dist[i] = {minkowski_distance(queries.row(qi), train_x.row(i), p), i};
+    }
+    std::sort(dist.begin(), dist.end());
+    double sum = 0.0, total_weight = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const double w = distance_weighted ? 1.0 / (dist[j].first + 1e-9) : 1.0;
+      sum += w * train_y[dist[j].second];
+      total_weight += w;
+    }
+    out[qi] = total_weight > 0 ? sum / total_weight : 0.0;
+  }
+  return out;
+}
+
+class KnnRegressorSelection
+    : public ::testing::TestWithParam<std::tuple<double, int, const char*>> {};
+
+TEST_P(KnnRegressorSelection, MatchesFullSortOracleOnTrainingData) {
+  // Scored on its own 400 training rows, so every query has a zero-distance
+  // neighbour.  k = 5 takes partial_sort (5 * 16 < 400), k = 40 takes
+  // nth_element plus a sort of the front (40 * 16 >= 400).
+  const double p = std::get<0>(GetParam());
+  const int k = std::get<1>(GetParam());
+  const std::string weights = std::get<2>(GetParam());
+  const Dataset ds = train_data(71);
+  std::vector<double> targets(ds.n_samples());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    targets[i] = ds.x()(i, 1) - 0.5 * ds.x()(i, 2) + (ds.y()[i] == 1 ? 1.0 : -1.0);
+  }
+  ParamMap params;
+  params.set("n_neighbors", static_cast<long long>(k));
+  params.set("weights", weights);
+  params.set("p", p);
+  auto reg = make_regressor("knn_regressor", params, 3);
+  reg->fit(ds.x(), targets);
+  expect_bits_equal(reg->predict(ds.x()),
+                    knn_regressor_full_sort(ds.x(), targets, ds.x(), p,
+                                            static_cast<std::size_t>(k),
+                                            weights == "distance"),
+                    "knn_regressor p=" + std::to_string(p) + " k=" + std::to_string(k) +
+                        " weights=" + weights);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Euclidean, KnnRegressorSelection,
+    ::testing::Combine(::testing::Values(2.0), ::testing::Values(5, 40),
+                       ::testing::Values("uniform", "distance")),
+    knn_selection_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Manhattan, KnnRegressorSelection,
     ::testing::Combine(::testing::Values(1.0), ::testing::Values(5, 40),
                        ::testing::Values("uniform", "distance")),
     knn_selection_name);

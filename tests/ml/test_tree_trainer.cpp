@@ -1,10 +1,10 @@
-// Exact-equivalence property tests for the presort training kernel: the
-// fast path must produce byte-identical serialized models to
-// ReferenceTreeBuilder (the original per-node re-sorting builder) across
-// criteria, hessian modes, width/node/depth caps, feature sampling and
-// random-split modes — for single trees and for every ensemble (whose
+// Exact-equivalence property tests for the presort training kernel: it
+// must produce byte-identical serialized models to the original per-node
+// re-sorting builder (the test-only oracle in tests/oracle/tree_fit.h)
+// across criteria, hessian modes, width/node/depth caps, feature sampling
+// and random-split modes — for single trees and for every ensemble (whose
 // per-tree loops share one TreeWorkspace and run bootstrap/feature-subset
-// views through it).
+// views through it, where the oracle materializes each view).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,23 +18,13 @@
 #include "data/generators.h"
 #include "ml/registry.h"
 #include "ml/serialize.h"
-#include "ml/tree/trainer.h"
 #include "ml/tree/tree_model.h"
+#include "tests/oracle/predict.h"
+#include "tests/oracle/tree_fit.h"
 #include "util/rng.h"
 
 namespace mlaas {
 namespace {
-
-class BuilderGuard {
- public:
-  explicit BuilderGuard(TreeBuilder b) : prev_(active_tree_builder()) {
-    set_active_tree_builder(b);
-  }
-  ~BuilderGuard() { set_active_tree_builder(prev_); }
-
- private:
-  TreeBuilder prev_;
-};
 
 std::string serialized(const TreeModel& tree) {
   std::ostringstream out;
@@ -62,12 +52,9 @@ void expect_tree_equivalence(const Matrix& x, const std::vector<double>& targets
                              const std::vector<double>& hessians,
                              const TreeOptions& opt, const std::string& label) {
   TreeModel fast;
-  {
-    BuilderGuard guard(TreeBuilder::kFast);
-    fast.fit(x, targets, hessians, opt);
-  }
+  fast.fit(x, targets, hessians, opt);
   TreeModel reference;
-  ReferenceTreeBuilder::fit(reference, x, targets, hessians, opt);
+  oracle::reference_fit_tree(reference, x, targets, hessians, opt);
 
   ASSERT_EQ(fast.node_count(), reference.node_count()) << label;
   // Node-for-node equality first (better failure messages), then bytes.
@@ -294,12 +281,9 @@ TEST(TreeTrainerEquivalence, AdversarialFuzzMatchesReference) {
   for (std::uint64_t seed = 0; seed < kCases && failures < 5; ++seed) {
     const FuzzCase c = adversarial_case(seed);
     TreeModel fast;
-    {
-      BuilderGuard guard(TreeBuilder::kFast);
-      fast.fit(c.x, c.targets, c.hessians, c.opt);
-    }
+    fast.fit(c.x, c.targets, c.hessians, c.opt);
     TreeModel reference;
-    ReferenceTreeBuilder::fit(reference, c.x, c.targets, c.hessians, c.opt);
+    oracle::reference_fit_tree(reference, c.x, c.targets, c.hessians, c.opt);
     if (!same_nodes(fast, reference)) {
       ADD_FAILURE() << c.label << "\nfast:\n"
                     << serialized(fast) << "reference:\n"
@@ -313,9 +297,10 @@ TEST(TreeTrainerEquivalence, AdversarialFuzzMatchesReference) {
   EXPECT_GT(split_trees, kCases / 3);
 }
 
-// Every tree-family classifier, fitted twice with the builder toggled:
+// Every tree-family classifier against the oracle's copy of its fit loop:
 // serialized ensembles (bootstrap resamples, feature subsets, shared
-// workspace reuse across trees) and scores must match byte for byte.
+// workspace reuse across trees) and scores must match byte for byte.  The
+// oracle's scores come from its per-tree walks over the oracle's own fit.
 class EnsembleEquivalence : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EnsembleEquivalence, SerializedModelAndScoresAreByteIdentical) {
@@ -332,19 +317,13 @@ TEST_P(EnsembleEquivalence, SerializedModelAndScoresAreByteIdentical) {
   if (name == "decision_jungle") params.set("n_dags", 4ll);
 
   auto fast = make_classifier(name, params, 77);
-  {
-    BuilderGuard guard(TreeBuilder::kFast);
-    fast->fit(ds.x(), ds.y());
-  }
-  auto reference = make_classifier(name, params, 77);
-  {
-    BuilderGuard guard(TreeBuilder::kReference);
-    reference->fit(ds.x(), ds.y());
-  }
+  fast->fit(ds.x(), ds.y());
+  const std::string reference = oracle::saved_bytes(
+      oracle::reference_tree_classifier_fit(name, params, 77, ds.x(), ds.y()));
 
-  EXPECT_EQ(serialized(*fast), serialized(*reference)) << name;
+  EXPECT_EQ(serialized(*fast), reference) << name;
   const auto fast_scores = fast->predict_score(ds.x());
-  const auto ref_scores = reference->predict_score(ds.x());
+  const auto ref_scores = oracle::ReferencePredictor(name, reference).predict_score(ds.x());
   ASSERT_EQ(fast_scores.size(), ref_scores.size());
   for (std::size_t i = 0; i < fast_scores.size(); ++i) {
     EXPECT_EQ(fast_scores[i], ref_scores[i]) << name << " row " << i;
@@ -361,31 +340,17 @@ TEST_P(EnsembleEquivalence, ReplicateResamplingToo) {
   if (name == "decision_jungle") params.set("n_dags", 3ll);
 
   auto fast = make_classifier(name, params, 9);
-  {
-    BuilderGuard guard(TreeBuilder::kFast);
-    fast->fit(ds.x(), ds.y());
-  }
-  auto reference = make_classifier(name, params, 9);
-  {
-    BuilderGuard guard(TreeBuilder::kReference);
-    reference->fit(ds.x(), ds.y());
-  }
-  EXPECT_EQ(serialized(*fast), serialized(*reference)) << name;
+  fast->fit(ds.x(), ds.y());
+  EXPECT_EQ(serialized(*fast),
+            oracle::saved_bytes(
+                oracle::reference_tree_classifier_fit(name, params, 9, ds.x(), ds.y())))
+      << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(TreeFamily, EnsembleEquivalence,
                          ::testing::Values("decision_tree", "random_forest",
                                            "bagging", "boosted_trees",
                                            "decision_jungle"));
-
-TEST(TreeTrainerEquivalence, BuilderToggleRoundTrips) {
-  EXPECT_EQ(active_tree_builder(), TreeBuilder::kFast);
-  {
-    BuilderGuard guard(TreeBuilder::kReference);
-    EXPECT_EQ(active_tree_builder(), TreeBuilder::kReference);
-  }
-  EXPECT_EQ(active_tree_builder(), TreeBuilder::kFast);
-}
 
 }  // namespace
 }  // namespace mlaas

@@ -1,7 +1,9 @@
 #include "tests/oracle/mlp_fit.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "linalg/vector_ops.h"
@@ -25,6 +27,19 @@ double activate_grad(double a, const std::string& kind) {
   if (kind == "relu") return a > 0 ? 1.0 : 0.0;
   if (kind == "tanh") return 1.0 - a * a;
   return a * (1.0 - a);
+}
+
+// m^T * v (v.size() == m.rows()), accumulated row by row from 0.0: the
+// backward pass's order, which MultiLayerPerceptron::fit reproduces inline.
+std::vector<double> transpose_multiply(const Matrix& m, std::span<const double> v) {
+  assert(v.size() == m.rows());
+  std::vector<double> out(m.cols(), 0.0);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const double* p = m.row(r).data();
+    const double vr = v[r];
+    for (std::size_t c = 0; c < m.cols(); ++c) out[c] += p[c] * vr;
+  }
+  return out;
 }
 
 }  // namespace
@@ -110,7 +125,7 @@ std::string reference_mlp_model_bytes(const ParamMap& params, std::uint64_t seed
         const double target = y[i] == 1 ? 1.0 : 0.0;
         delta[n_layers - 1] = {act[n_layers][0] - target};
         for (std::size_t l = n_layers - 1; l-- > 0;) {
-          delta[l] = weights_[l + 1].transpose_multiply(delta[l + 1]);
+          delta[l] = transpose_multiply(weights_[l + 1], delta[l + 1]);
           for (std::size_t j = 0; j < delta[l].size(); ++j) {
             delta[l][j] *= activate_grad(act[l + 1][j], activation_);
           }

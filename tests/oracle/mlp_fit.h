@@ -1,6 +1,8 @@
 // Test-only reference oracles: verbatim copies of production loops that an
 // optimised rewrite replaced, kept so equivalence tests can compare the new
-// code against the old bit for bit.  Nothing under src/ links this.
+// code against the old bit for bit, and the micro-benchmark gates can time
+// it against them.  They build as the mlaas_oracle library (tests/oracle/),
+// which nothing under src/ or perfbench/ links.
 #pragma once
 
 #include <cstdint>

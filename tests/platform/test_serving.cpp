@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "data/generators.h"
-#include "ml/classifier.h"
 #include "platform/all_platforms.h"
 #include "util/rng.h"
 
@@ -415,34 +414,6 @@ TEST(ServingWorkloadTest, ClosedLoopServesEveryRequest) {
   EXPECT_EQ(result.report.totals.requests, 120u);
   EXPECT_EQ(result.report.totals.ok, 120u);
   EXPECT_EQ(result.report.totals.failed, 0u);
-}
-
-TEST(ServingReportTest, BytesInvariantAcrossPredictKernels) {
-  // The flat prediction kernels must be invisible to the serving layer: a
-  // workload run under PredictKernel::kReference writes byte-identical
-  // report TSVs to the flat default (latency is simulated time, so the
-  // report carries no wall-clock nondeterminism).
-  const auto tenants = make_serving_tenants(2, {"Local"}, 13);
-  ServingWorkloadOptions options;
-  options.requests = 80;
-  options.seed = 13;
-  options.quota_profile = "unlimited";
-  const std::string path = testing::TempDir() + "serving_kernel_invariance.tsv";
-  const auto read_bytes = [&path]() {
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-  set_active_predict_kernel(PredictKernel::kReference);
-  run_serving_workload(tenants, options).report.save_tsv(path);
-  const std::string reference_bytes = read_bytes();
-  set_active_predict_kernel(PredictKernel::kFlat);
-  run_serving_workload(tenants, options).report.save_tsv(path);
-  const std::string flat_bytes = read_bytes();
-  std::remove(path.c_str());
-  ASSERT_FALSE(reference_bytes.empty());
-  EXPECT_EQ(flat_bytes, reference_bytes);
 }
 
 TEST(ServingReportTest, TsvAndJsonRoundOut) {

@@ -1,11 +1,14 @@
-// Shared setup for the bench binaries: flag parsing and Study construction.
+// Shared setup for the study bench binaries: flag parsing and Study
+// construction.
 //
-// Every bench accepts --seed N --scale X --threads N --quick plus the
-// campaign-envelope knobs --fault-rate F --quota-profile P --retry-budget K,
-// and shares the on-disk measurement cache, so the expensive measurement
-// pass runs once for the whole bench suite.
+// Every study bench takes the campaign flags StudyOptions::from_flags reads,
+// rejects any other flag, prints the flag list on --help, and shares the
+// on-disk measurement cache, so the expensive measurement pass runs once
+// for the whole bench suite.
 #pragma once
 
+#include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "core/study.h"
@@ -14,24 +17,20 @@
 namespace mlaas {
 
 inline StudyOptions study_options_from_cli(int argc, const char* const* argv) {
-  const BenchOptions bench = parse_bench_options(argc, argv);
-  StudyOptions opt;
-  opt.seed = bench.seed;
-  opt.scale = bench.scale;
-  opt.quick = bench.quick;
-  opt.threads = bench.threads;
-  opt.schedule = bench.schedule;
-  opt.fault_rate = bench.fault_rate;
-  opt.quota_profile = bench.quota_profile;
-  opt.retry_budget = bench.retry_budget;
-  opt.chaos_profile = bench.chaos_profile;
-  opt.breakers = bench.breakers;
-  opt.breaker_threshold = bench.breaker_threshold;
-  opt.breaker_cooldown = bench.breaker_cooldown;
-  opt.breaker_probes = bench.breaker_probes;
-  opt.jitter = bench.jitter;
-  opt.resume = bench.resume;
-  return opt;
+  try {
+    const CliFlags flags(argc, argv);
+    if (flags.get("help")) {
+      std::cout << "usage: " << argv[0] << " [flags]\n\nflags (defaults in parentheses):\n"
+                << StudyOptions::flags_usage() << "  --help                  print this text\n";
+      std::exit(0);
+    }
+    const StudyOptions opt = StudyOptions::from_flags(flags);
+    flags.reject_unread();
+    return opt;
+  } catch (const std::exception& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::exit(1);
+  }
 }
 
 inline void print_bench_header(const std::string& title, const StudyOptions& opt) {
@@ -43,10 +42,10 @@ inline void print_bench_header(const std::string& title, const StudyOptions& opt
               << " retry-budget=" << opt.retry_budget;
   }
   if (opt.chaos_profile != "none") std::cout << " chaos-profile=" << opt.chaos_profile;
-  if (opt.schedule != "dynamic") std::cout << " schedule=" << opt.schedule;
-  if (opt.breakers) {
-    std::cout << " breakers=on(" << opt.breaker_threshold << "/" << opt.breaker_cooldown
-              << "s/" << opt.breaker_probes << ")";
+  if (opt.schedule != Schedule::kDynamic) std::cout << " schedule=" << to_string(opt.schedule);
+  if (opt.breaker.enabled) {
+    std::cout << " breakers=on(" << opt.breaker.failure_threshold << "/"
+              << opt.breaker.cooldown_seconds << "s/" << opt.breaker.max_probes << ")";
   }
   std::cout << "\n\n";
 }

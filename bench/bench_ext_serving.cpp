@@ -20,22 +20,23 @@
 //
 // Modes:
 //   (default)                human-readable table
-//   --json                   regression harness
-//     --out FILE             output path (default BENCH_serving.json)
-//     --baseline FILE        committed baseline (bench/baselines/...)
-//     --check-regression F   exit 1 if any scenario's simulated throughput
-//                            drops below baseline_throughput / F.  Simulated
-//                            throughput is seeded and deterministic, so the
-//                            factor only needs to absorb intentional
-//                            behaviour changes, not runner noise.
+//   --json                   regression harness: --out FILE (default
+//                            BENCH_serving.json), --baseline FILE and
+//                            --check-regression F, the gate of bench_gate.h
+//                            on each scenario's throughput_rows_per_sec.
+//                            Simulated throughput is seeded and
+//                            deterministic, so the factor only needs to
+//                            absorb intentional behaviour changes, not
+//                            runner noise.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_gate.h"
 #include "platform/serving.h"
 #include "util/table.h"
 #include "util/trace.h"
@@ -123,28 +124,9 @@ const std::vector<std::string>& scenario_names() {
   return names;
 }
 
-/// Minimal field scrape, mirroring bench_micro_classifiers: find the named
-/// scenario in the baseline JSON, return its throughput (0 when absent).
-double baseline_throughput(const std::string& json, const std::string& name) {
-  const std::string anchor = "\"name\": \"" + name + "\"";
-  std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return 0.0;
-  const std::string key = "\"throughput_rows_per_sec\": ";
-  at = json.find(key, at);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + at + key.size(), nullptr);
-}
-
 int run_json_mode(const std::vector<std::string>& args) {
-  std::string out_path = "BENCH_serving.json";
-  std::string baseline_path;
-  double check_factor = 0.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) out_path = args[++i];
-    else if (args[i] == "--baseline" && i + 1 < args.size()) baseline_path = args[++i];
-    else if (args[i] == "--check-regression" && i + 1 < args.size())
-      check_factor = std::strtod(args[++i].c_str(), nullptr);
-  }
+  const auto parsed = parse_json_mode_args(args, "BENCH_serving.json");
+  if (!parsed) return 1;
 
   std::vector<ScenarioResult> results;
   for (const auto& name : scenario_names()) results.push_back(run_scenario(name));
@@ -168,15 +150,13 @@ int run_json_mode(const std::vector<std::string>& args) {
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
+  std::cout << json.str();
 
-  std::ofstream out(out_path);
-  out << json.str();
-  out.close();
-  std::cout << "wrote " << out_path << "\n" << json.str();
-
-  // Sample Chrome trace from the traced scenario, uploaded as a CI artifact
-  // beside the throughput JSON.
+  std::vector<std::pair<std::string, double>> throughputs;
   for (const auto& r : results) {
+    throughputs.emplace_back(r.name, r.report.totals.throughput_rows_per_sec());
+    // Sample Chrome trace from the traced scenario, uploaded as a CI
+    // artifact beside the throughput JSON.
     if (r.trace != nullptr) {
       const std::string trace_path = "BENCH_serving_trace.json";
       r.trace->save_json(trace_path);
@@ -184,33 +164,7 @@ int run_json_mode(const std::vector<std::string>& args) {
                 << " events on " << r.trace->track_count() << " tracks)\n";
     }
   }
-
-  if (!baseline_path.empty() && check_factor > 0.0) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::cerr << "baseline missing: " << baseline_path << "\n";
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    bool failed = false;
-    for (const auto& r : results) {
-      const double expected = baseline_throughput(baseline, r.name);
-      if (expected <= 0.0) continue;
-      const double floor = expected / check_factor;
-      const double actual = r.report.totals.throughput_rows_per_sec();
-      if (actual < floor) {
-        std::cerr << "REGRESSION " << r.name << ": " << actual
-                  << " rows/s below floor " << floor << " rows/s (baseline "
-                  << expected << " / " << check_factor << ")\n";
-        failed = true;
-      }
-    }
-    if (failed) return 1;
-    std::cout << "regression check passed (factor " << check_factor << ")\n";
-  }
-  return 0;
+  return finish_json_mode(*parsed, json.str(), "throughput_rows_per_sec", throughputs);
 }
 
 }  // namespace

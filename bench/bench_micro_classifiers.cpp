@@ -19,30 +19,21 @@
 //                   threshold, and writes BENCH_predict.json.  The oracle
 //                   reads the model's saved state before timing starts.
 //
-// JSON-mode flags (shared by --json and --json-predict):
-//   --out FILE               output path (default BENCH_tree_training.json /
-//                            BENCH_predict.json)
-//   --baseline FILE          committed baseline with expected speedups
-//   --check-regression F     exit 1 if any speedup drops below
-//                            baseline_speedup / F.  Also exits 1, without
-//                            measuring, when F is not a positive number or
-//                            --baseline is missing, and after measuring
-//                            when the baseline lists a row this run did not
-//                            measure or holds no positive speedup for one.
+// JSON-mode flags (shared by --json and --json-predict): --out FILE
+// (default BENCH_tree_training.json / BENCH_predict.json), --baseline FILE
+// and --check-regression F, the gate of bench_gate.h on each row's
+// speedup_vs_reference.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_gate.h"
 #include "data/generators.h"
 #include "ml/classifier.h"
 #include "ml/registry.h"
@@ -99,7 +90,7 @@ const int registered = [] {
 }();
 
 // ---------------------------------------------------------------------------
-// JSON modes: flags and the regression gate shared by both harnesses.
+// JSON modes: the timed rows both harnesses report and gate.
 
 struct BenchRow {
   std::string name;
@@ -108,112 +99,11 @@ struct BenchRow {
   double speedup() const { return fast_ms > 0.0 ? reference_ms / fast_ms : 0.0; }
 };
 
-struct JsonModeArgs {
-  std::string out_path;
-  std::string baseline_path;
-  double check_factor = 0.0;  // 0: no regression check
-};
-
-/// Parses the JSON-mode flags; returns nullopt (after printing why) when
-/// --check-regression is not a positive number or has no --baseline.
-std::optional<JsonModeArgs> parse_json_mode_args(const std::vector<std::string>& args,
-                                                 std::string default_out) {
-  JsonModeArgs parsed{std::move(default_out), "", 0.0};
-  std::optional<std::string> factor;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) parsed.out_path = args[++i];
-    else if (args[i] == "--baseline" && i + 1 < args.size()) parsed.baseline_path = args[++i];
-    else if (args[i] == "--check-regression" && i + 1 < args.size()) factor = args[++i];
-  }
-  if (!factor) return parsed;
-  char* end = nullptr;
-  parsed.check_factor = std::strtod(factor->c_str(), &end);
-  if (factor->empty() || *end != '\0' || !std::isfinite(parsed.check_factor) ||
-      parsed.check_factor <= 0.0) {
-    std::cerr << "--check-regression needs a positive number, got '" << *factor << "'\n";
-    return std::nullopt;
-  }
-  if (parsed.baseline_path.empty()) {
-    std::cerr << "--check-regression needs --baseline FILE\n";
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-/// Every (name, speedup_vs_reference) row of the (small, known-shape)
-/// baseline JSON, read without a JSON library.  A row whose speedup does
-/// not parse gets 0.
-std::vector<std::pair<std::string, double>> baseline_rows(const std::string& json) {
-  std::vector<std::pair<std::string, double>> rows;
-  const std::string anchor = "\"name\": \"";
-  const std::string key = "\"speedup_vs_reference\":";
-  for (std::size_t at = json.find(anchor); at != std::string::npos;
-       at = json.find(anchor, at)) {
-    at += anchor.size();
-    const std::size_t close = json.find('"', at);
-    if (close == std::string::npos) break;
-    std::string name = json.substr(at, close - at);
-    const std::size_t row_end = std::min(json.find('}', close), json.find(anchor, close));
-    const std::size_t value = json.find(key, close);
-    const double speedup = value < row_end
-                               ? std::strtod(json.c_str() + value + key.size(), nullptr)
-                               : 0.0;
-    rows.emplace_back(std::move(name), speedup);
-    at = close;
-  }
-  return rows;
-}
-
-/// Writes `json` to args.out_path, then runs the regression gate when
-/// --check-regression was given.  Returns the process exit code: 1 when the
-/// baseline cannot be read or lists no row, when a baseline row was not
-/// measured by this run or has no positive speedup, or when a measured
-/// speedup falls below baseline / factor.
-int finish_json_mode(const JsonModeArgs& args, const std::string& json,
-                     const std::vector<BenchRow>& rows) {
-  std::ofstream out(args.out_path);
-  out << json;
-  out.close();
-  std::cout << "wrote " << args.out_path << "\n";
-  if (args.check_factor <= 0.0) return 0;
-
-  std::ifstream in(args.baseline_path);
-  if (!in.good()) {
-    std::cerr << "baseline missing: " << args.baseline_path << "\n";
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto baseline = baseline_rows(buf.str());
-  if (baseline.empty()) {
-    std::cerr << "baseline lists no rows: " << args.baseline_path << "\n";
-    return 1;
-  }
-  int failures = 0;
-  for (const auto& [name, expected] : baseline) {
-    const auto row = std::find_if(rows.begin(), rows.end(),
-                                  [&](const BenchRow& r) { return r.name == name; });
-    if (row == rows.end()) {
-      std::cerr << "UNCHECKED " << name << ": in the baseline but not measured\n";
-      ++failures;
-      continue;
-    }
-    if (!(expected > 0.0)) {
-      std::cerr << "UNCHECKED " << name << ": baseline speedup is not a positive number\n";
-      ++failures;
-      continue;
-    }
-    const double floor = expected / args.check_factor;
-    if (row->speedup() < floor) {
-      std::cerr << "REGRESSION " << name << ": speedup " << row->speedup()
-                << "x below floor " << floor << "x (baseline " << expected << "x / factor "
-                << args.check_factor << ")\n";
-      ++failures;
-    }
-  }
-  if (failures > 0) return 1;
-  std::cout << "regression check passed (factor " << args.check_factor << ")\n";
-  return 0;
+/// The (name, speedup) rows the regression gate checks.
+std::vector<std::pair<std::string, double>> speedups(const std::vector<BenchRow>& rows) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& r : rows) out.emplace_back(r.name, r.speedup());
+  return out;
 }
 
 std::string results_json(const std::string& bench, const std::string& workload,
@@ -312,7 +202,7 @@ int run_json_mode(const std::vector<std::string>& args) {
   workload << "{\"n_samples\": " << ds.n_samples() << ", \"n_features\": " << ds.n_features()
            << "}";
   return finish_json_mode(*parsed, results_json("tree_training", workload.str(), "fast_ms", rows),
-                          rows);
+                          "speedup_vs_reference", speedups(rows));
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +275,7 @@ int run_predict_json_mode(const std::vector<std::string>& args) {
   workload << "{\"n_train\": " << train.n_samples() << ", \"n_queries\": " << queries.n_samples()
            << ", \"n_features\": " << train.n_features() << "}";
   return finish_json_mode(*parsed, results_json("predict", workload.str(), "flat_ms", rows),
-                          rows);
+                          "speedup_vs_reference", speedups(rows));
 }
 
 }  // namespace

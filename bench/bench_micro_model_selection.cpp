@@ -7,24 +7,23 @@
 // Both comparisons are exact-equivalence: the harness first verifies the
 // winner and score are identical across every mode, then times them.
 //
-// Flags (same shape as bench_micro_classifiers --json):
-//   --out FILE               output path (default BENCH_model_selection.json)
-//   --baseline FILE          committed baseline with expected speedups
-//   --check-regression F     exit 1 if any speedup drops below
-//                            baseline_speedup / F
+// Flags: --out FILE (default BENCH_model_selection.json), --baseline FILE
+// and --check-regression F, the gate of bench_gate.h on each row's
+// speedup_vs_reference.
 //
 // Note: the parallel row's measured scaling is bounded by the host's core
 // count (reported as host_threads in the JSON); the committed baseline
 // encodes what the baseline host could show.
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench_gate.h"
 #include "data/generators.h"
 #include "ml/model_selection/grid_search.h"
 
@@ -86,31 +85,12 @@ struct Row {
   double speedup() const { return fast_ms > 0.0 ? reference_ms / fast_ms : 0.0; }
 };
 
-/// Pull "speedup_vs_reference" for `name` out of the (small, known-shape)
-/// baseline JSON without a JSON library.  Returns 0 when absent.
-double baseline_speedup(const std::string& json, const std::string& name) {
-  const std::string anchor = "\"name\": \"" + name + "\"";
-  std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return 0.0;
-  const std::string key = "\"speedup_vs_reference\":";
-  at = json.find(key, at);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_model_selection.json";
-  std::string baseline_path;
-  double check_factor = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    else if (arg == "--baseline" && i + 1 < argc) baseline_path = argv[++i];
-    else if (arg == "--check-regression" && i + 1 < argc)
-      check_factor = std::strtod(argv[++i], nullptr);
-  }
+  const auto args = parse_json_mode_args(std::vector<std::string>(argv + 1, argv + argc),
+                                         "BENCH_model_selection.json");
+  if (!args) return 1;
 
   const Dataset ds = workload();
   const ClassifierGridSpec spec = tree_grid();
@@ -173,34 +153,7 @@ int main(int argc, char** argv) {
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::ofstream out(out_path);
-  out << json.str();
-  out.close();
-  std::cout << "wrote " << out_path << "\n";
-
-  if (!baseline_path.empty() && check_factor > 0.0) {
-    std::ifstream in(baseline_path);
-    if (!in.good()) {
-      std::cerr << "baseline missing: " << baseline_path << "\n";
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    int failures = 0;
-    for (const Row& row : rows) {
-      const double expected = baseline_speedup(baseline, row.name);
-      if (expected <= 0.0) continue;
-      const double floor = expected / check_factor;
-      if (row.speedup() < floor) {
-        std::cerr << "REGRESSION " << row.name << ": speedup " << row.speedup()
-                  << "x below floor " << floor << "x (baseline " << expected
-                  << "x / factor " << check_factor << ")\n";
-        ++failures;
-      }
-    }
-    if (failures > 0) return 1;
-    std::cout << "regression check passed (factor " << check_factor << ")\n";
-  }
-  return 0;
+  std::vector<std::pair<std::string, double>> speedups;
+  for (const Row& row : rows) speedups.emplace_back(row.name, row.speedup());
+  return finish_json_mode(*args, json.str(), "speedup_vs_reference", speedups);
 }

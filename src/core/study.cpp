@@ -1,9 +1,108 @@
 #include "core/study.h"
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
+#include <iomanip>
+#include <sstream>
+#include <stdexcept>
+
 #include "data/generators.h"
+#include "platform/service.h"
 #include "util/rng.h"
 
 namespace mlaas {
+
+namespace {
+
+// An int-valued flag in [min, INT_MAX]; checked before the narrowing cast,
+// which would otherwise wrap a large value into range.
+int int_flag(const CliFlags& flags, const std::string& name, int def, int min) {
+  const long long v = flags.int_or(name, def);
+  if (v >= min && v <= INT_MAX) return static_cast<int>(v);
+  throw std::invalid_argument("--" + name + " must be an integer in [" + std::to_string(min) +
+                              ", " + std::to_string(INT_MAX) + "], got " + std::to_string(v));
+}
+
+std::string profile_or(const CliFlags& flags, const std::string& name,
+                       const std::string& def, const std::vector<std::string>& known) {
+  std::string value = flags.get_or(name, def);
+  if (std::find(known.begin(), known.end(), value) != known.end()) return value;
+  throw std::invalid_argument("--" + name + ": unknown profile '" + value + "'");
+}
+
+}  // namespace
+
+StudyOptions StudyOptions::from_flags(const CliFlags& flags) {
+  StudyOptions opt;
+  if (const char* env = std::getenv("MLAAS_SEED")) {
+    opt.seed = static_cast<std::uint64_t>(parse_int(env, "MLAAS_SEED"));
+  }
+  if (const char* env = std::getenv("MLAAS_SCALE")) opt.scale = parse_double(env, "MLAAS_SCALE");
+  if (const char* env = std::getenv("MLAAS_FAULT_RATE")) {
+    opt.fault_rate = parse_double(env, "MLAAS_FAULT_RATE");
+  }
+  opt.seed = static_cast<std::uint64_t>(flags.int_or("seed", static_cast<long long>(opt.seed)));
+  opt.scale = flags.double_or("scale", opt.scale);
+  if (!(opt.scale > 0.0) || !std::isfinite(opt.scale)) {
+    throw std::invalid_argument("--scale (MLAAS_SCALE) must be a finite value > 0");
+  }
+  opt.quick = flags.bool_or("quick", opt.quick);
+  opt.threads = int_flag(flags, "threads", opt.threads, 0);
+  opt.schedule = parse_schedule(flags.get_or("schedule", to_string(opt.schedule)));
+  opt.fault_rate = flags.double_or("fault-rate", opt.fault_rate);
+  if (!(opt.fault_rate >= 0.0 && opt.fault_rate <= 1.0)) {
+    throw std::invalid_argument("--fault-rate (MLAAS_FAULT_RATE) must be in [0, 1]");
+  }
+  opt.quota_profile = profile_or(flags, "quota-profile", opt.quota_profile, quota_profile_names());
+  opt.retry_budget = int_flag(flags, "retry-budget", opt.retry_budget, 1);
+  opt.chaos_profile = profile_or(flags, "chaos-profile", opt.chaos_profile, chaos_profile_names());
+  opt.breaker.enabled = flags.bool_or("breakers", opt.breaker.enabled);
+  opt.breaker.failure_threshold =
+      int_flag(flags, "breaker-threshold", opt.breaker.failure_threshold, 1);
+  opt.breaker.cooldown_seconds = flags.double_or("breaker-cooldown", opt.breaker.cooldown_seconds);
+  if (!(opt.breaker.cooldown_seconds >= 0.0) || !std::isfinite(opt.breaker.cooldown_seconds)) {
+    throw std::invalid_argument("--breaker-cooldown must be a finite value >= 0");
+  }
+  opt.breaker.max_probes = int_flag(flags, "breaker-probes", opt.breaker.max_probes, 0);
+  opt.jitter = flags.bool_or("jitter", opt.jitter);
+  opt.resume = flags.bool_or("resume", opt.resume);
+  if (flags.bool_or("fresh", false)) opt.resume = false;
+  return opt;
+}
+
+std::string StudyOptions::flags_usage() {
+  const StudyOptions d;
+  const auto names = [](const std::vector<std::string>& all) {
+    std::string joined;
+    for (const auto& name : all) joined += (joined.empty() ? "" : "|") + name;
+    return joined;
+  };
+  std::ostringstream out;
+  const auto line = [&out](const char* flag, const std::string& text, const auto& def,
+                           const char* env = "") {
+    out << "  " << std::left << std::setw(24) << flag << text << " (" << env << std::boolalpha
+        << def << ")\n";
+  };
+  line("--seed N", "corpus and campaign seed", d.seed, "$MLAAS_SEED, else ");
+  line("--scale X", "grid and corpus scale, > 0", d.scale, "$MLAAS_SCALE, else ");
+  line("--quick", "tiny corpus for smoke runs", d.quick);
+  line("--threads N", "campaign workers, 0 = hardware concurrency", d.threads);
+  line("--schedule S", "static|dynamic session dispatch", to_string(d.schedule));
+  line("--fault-rate F", "transient fault rate in [0, 1]", d.fault_rate,
+       "$MLAAS_FAULT_RATE, else ");
+  line("--quota-profile P", names(quota_profile_names()), d.quota_profile);
+  line("--retry-budget K", "attempts per request, >= 1", d.retry_budget);
+  line("--chaos-profile P", names(chaos_profile_names()), d.chaos_profile);
+  line("--breakers", "per-platform circuit breakers", d.breaker.enabled);
+  line("--breaker-threshold N", "failures that open a breaker", d.breaker.failure_threshold);
+  line("--breaker-cooldown S", "seconds before a half-open probe", d.breaker.cooldown_seconds);
+  line("--breaker-probes N", "failed probes before latching open", d.breaker.max_probes);
+  line("--jitter", "decorrelated retry-backoff jitter", d.jitter);
+  line("--resume | --fresh", "resume from the campaign journal", d.resume);
+  return out.str();
+}
 
 CorpusOptions StudyOptions::corpus_options() const {
   CorpusOptions c;
@@ -22,17 +121,14 @@ MeasurementOptions StudyOptions::measurement_options() const {
   m.seed = seed;
   m.scale = quick ? 0.5 : scale;
   m.threads = threads;
-  m.schedule = parse_schedule(schedule);
+  m.schedule = schedule;
   m.verbose = verbose;
   m.trace = trace;
   m.campaign.fault_rate = fault_rate;
   m.campaign.quota_profile = quota_profile;
   m.campaign.retry_budget = retry_budget;
   m.campaign.chaos_profile = chaos_profile;
-  m.campaign.breaker.enabled = breakers;
-  m.campaign.breaker.failure_threshold = breaker_threshold;
-  m.campaign.breaker.cooldown_seconds = breaker_cooldown;
-  m.campaign.breaker.max_probes = breaker_probes;
+  m.campaign.breaker = breaker;
   m.campaign.jitter = jitter;
   m.campaign.resume = resume;
   return m;

@@ -28,6 +28,7 @@
 #include "eval/naive_strategy.h"
 #include "eval/subset_analysis.h"
 #include "eval/variation.h"
+#include "util/cli.h"
 
 namespace mlaas {
 
@@ -36,10 +37,9 @@ struct StudyOptions {
   double scale = 1.0;        // grid/corpus scaling knob (DESIGN.md)
   bool quick = false;        // tiny corpus for smoke runs
   int threads = 0;           // 0 = hardware concurrency; negative rejected
-  /// Campaign session scheduler: "dynamic" (longest-estimated-first over an
-  /// atomic ticket) or "static" (one chunk per dataset).  Both produce
-  /// byte-identical tables; static is kept for A/B benchmarks.
-  std::string schedule = "dynamic";
+  /// Campaign session scheduler (see Schedule in eval/measurement.h).  Both
+  /// schedules produce byte-identical tables.
+  Schedule schedule = Schedule::kDynamic;
   /// Empty disables the on-disk measurement cache.
   std::string cache_path_override;
   bool verbose = true;
@@ -52,15 +52,12 @@ struct StudyOptions {
   /// Chaos fault schedule injected into every platform session ("none",
   /// "outages", "bursts", "latency", "storm"); see make_fault_plan.
   std::string chaos_profile = "none";
-  /// Per-platform circuit breakers in the campaign driver: after
-  /// `breaker_threshold` consecutive cell failures the breaker opens and
-  /// the remaining cells of the session are deferred (excluded from
-  /// aggregation) unless a half-open probe after `breaker_cooldown`
-  /// simulated seconds succeeds.
-  bool breakers = false;
-  int breaker_threshold = 3;
-  double breaker_cooldown = 300.0;
-  int breaker_probes = 2;
+  /// Per-platform circuit breakers in the campaign driver (disabled by
+  /// default): after `failure_threshold` consecutive cell failures the
+  /// breaker opens and the remaining cells of the session are deferred
+  /// (excluded from aggregation) unless a half-open probe after
+  /// `cooldown_seconds` simulated seconds succeeds.
+  BreakerOptions breaker;
   /// Decorrelated jitter on retry backoff (off by default: keeps campaigns
   /// bit-reproducible across library versions).
   bool jitter = false;
@@ -72,6 +69,15 @@ struct StudyOptions {
   /// CampaignResult::trace).  Off by default; does not change any measured
   /// row, report byte, or cache fingerprint.
   bool trace = false;
+
+  /// The campaign knobs every front end shares (flags_usage() lists them),
+  /// read from `flags`; MLAAS_SEED, MLAAS_SCALE and MLAAS_FAULT_RATE, when
+  /// set, are the defaults of their flags.  Throws std::invalid_argument
+  /// naming the flag or variable; leaves flags.reject_unread() to the caller.
+  static StudyOptions from_flags(const CliFlags& flags);
+  /// The --help lines of those flags: each with its default (StudyOptions{}
+  /// or the MLAAS_* variable) and, for a named value, the accepted names.
+  static std::string flags_usage();
 
   CorpusOptions corpus_options() const;
   MeasurementOptions measurement_options() const;

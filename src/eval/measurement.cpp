@@ -237,8 +237,7 @@ MeasurementTable MeasurementTable::load_csv(const std::string& path,
 Schedule parse_schedule(const std::string& name) {
   if (name == "static") return Schedule::kStatic;
   if (name == "dynamic") return Schedule::kDynamic;
-  throw std::invalid_argument("unknown schedule '" + name +
-                              "' (expected 'static' or 'dynamic')");
+  throw std::invalid_argument("--schedule must be 'static' or 'dynamic', got '" + name + "'");
 }
 
 const char* to_string(Schedule schedule) {
@@ -749,10 +748,9 @@ void run_session(const Dataset& dataset, const TrainTestSplit& split,
   // into temporaries; the context's content-hash guard keeps a reused
   // allocation from ever serving stale state.  Data-only reuse: no
   // admission, clock or fault-RNG effect, so every measured byte is
-  // identical with the context on or off.
+  // identical to a fit without the context (measure_one installs none).
   TrainContext train_context;
-  std::optional<ScopedTrainContext> train_scope;
-  if (options.reuse_train_state) train_scope.emplace(&train_context);
+  const ScopedTrainContext train_scope(&train_context);
 
   for (const CellSpec& cell : cells) {
     Measurement m = base_row(cell, dataset.meta().id, platform.name());

@@ -181,7 +181,8 @@ struct CampaignOptions {
 /// wall-clock and the scheduler telemetry differ.
 enum class Schedule { kStatic, kDynamic };
 
-/// Parse "static" / "dynamic"; throws std::invalid_argument otherwise.
+/// Parse "static" / "dynamic"; throws std::invalid_argument naming the
+/// --schedule flag otherwise.
 Schedule parse_schedule(const std::string& name);
 const char* to_string(Schedule schedule);
 
@@ -203,13 +204,6 @@ struct MeasurementOptions {
   /// deliberately excluded from measurement_fingerprint so existing caches
   /// and journals stay valid.
   bool trace = false;
-  /// Install a session-scoped TrainContext so every cell training on the
-  /// session's one uploaded train split reuses the tree family's column
-  /// cache + presorted orders and kNN's cached norms (ml/tree/trainer.h).
-  /// Data-only state with no admission, clock or fault-RNG effect: tables,
-  /// journals and traces are byte-identical with it on or off, so it is
-  /// excluded from measurement_fingerprint like `trace`.
-  bool reuse_train_state = true;
   CampaignOptions campaign;           // service-transport envelope
 };
 

@@ -299,8 +299,8 @@ void validate_serving_options(const ServingOptions& o) {
     if (o.breaker.failure_threshold < 1) {
       throw std::invalid_argument("serving: --breaker-threshold must be >= 1");
     }
-    if (!(o.breaker.cooldown_seconds >= 0.0)) {
-      throw std::invalid_argument("serving: --breaker-cooldown must be >= 0");
+    if (!(o.breaker.cooldown_seconds >= 0.0) || !std::isfinite(o.breaker.cooldown_seconds)) {
+      throw std::invalid_argument("serving: --breaker-cooldown must be a finite value >= 0");
     }
     if (o.breaker.max_probes < 0) {
       throw std::invalid_argument("serving: --breaker-probes must be >= 0");

@@ -1,12 +1,30 @@
 #include "util/cli.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 namespace mlaas {
+
+long long parse_int(const std::string& value, const std::string& what) {
+  std::size_t used = 0;
+  try {
+    const long long parsed = std::stoll(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::exception&) {  // no digits, or out of range
+  }
+  throw std::invalid_argument(what + ": expected an integer, got '" + value + "'");
+}
+
+double parse_double(const std::string& value, const std::string& what) {
+  std::size_t used = 0;
+  try {
+    const double parsed = std::stod(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::exception&) {  // no digits, or out of range
+  }
+  throw std::invalid_argument(what + ": expected a number, got '" + value + "'");
+}
 
 CliFlags::CliFlags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -37,98 +55,27 @@ std::string CliFlags::get_or(const std::string& name, const std::string& def) co
 }
 
 long long CliFlags::int_or(const std::string& name, long long def) const {
-  auto v = get(name);
-  if (!v) return def;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + ": expected an integer, got '" + *v + "'");
-  }
+  const auto v = get(name);
+  return v ? parse_int(*v, "--" + name) : def;
 }
 
 double CliFlags::double_or(const std::string& name, double def) const {
-  auto v = get(name);
-  if (!v) return def;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + ": expected a number, got '" + *v + "'");
-  }
+  const auto v = get(name);
+  return v ? parse_double(*v, "--" + name) : def;
 }
 
 bool CliFlags::bool_or(const std::string& name, bool def) const {
-  auto v = get(name);
+  const auto v = get(name);
   if (!v) return def;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  throw std::invalid_argument("--" + name + ": expected true/false, got '" + *v + "'");
 }
 
 void CliFlags::reject_unread() const {
   for (const auto& [name, value] : flags_) {
     if (read_.count(name) == 0) throw std::invalid_argument("unknown flag --" + name);
   }
-}
-
-BenchOptions parse_bench_options(int argc, const char* const* argv) {
-  CliFlags flags(argc, argv);
-  BenchOptions opt;
-  if (const char* env = std::getenv("MLAAS_SEED")) opt.seed = std::strtoull(env, nullptr, 10);
-  if (const char* env = std::getenv("MLAAS_SCALE")) opt.scale = std::strtod(env, nullptr);
-  if (const char* env = std::getenv("MLAAS_FAULT_RATE")) {
-    opt.fault_rate = std::strtod(env, nullptr);
-  }
-  opt.seed = static_cast<std::uint64_t>(flags.int_or("seed", static_cast<long long>(opt.seed)));
-  opt.scale = flags.double_or("scale", opt.scale);
-  opt.threads = static_cast<int>(flags.int_or("threads", 0));
-  if (opt.threads < 0) {
-    // Catch this at parse time: the old behavior cast -1 to size_t and asked
-    // the thread pool for ~2^64 workers.
-    throw std::invalid_argument("--threads must be >= 0 (0 = hardware concurrency), got " +
-                                std::to_string(opt.threads));
-  }
-  opt.schedule = flags.get_or("schedule", opt.schedule);
-  if (opt.schedule != "static" && opt.schedule != "dynamic") {
-    throw std::invalid_argument("--schedule must be 'static' or 'dynamic', got '" +
-                                opt.schedule + "'");
-  }
-  opt.quick = flags.bool_or("quick", false);
-  // Validate the shared campaign knobs at parse time, like --threads above:
-  // each of these used to flow unchecked into the service layer, where a
-  // nonsense value (negative retry budget, fault rate above 1) produced a
-  // silently degenerate campaign instead of a usage error.
-  if (!(opt.scale > 0.0) || !std::isfinite(opt.scale)) {
-    throw std::invalid_argument("--scale must be a finite value > 0");
-  }
-  opt.fault_rate = flags.double_or("fault-rate", opt.fault_rate);
-  if (!(opt.fault_rate >= 0.0 && opt.fault_rate <= 1.0)) {
-    throw std::invalid_argument("--fault-rate must be in [0, 1]");
-  }
-  opt.quota_profile = flags.get_or("quota-profile", opt.quota_profile);
-  opt.retry_budget = static_cast<int>(flags.int_or("retry-budget", opt.retry_budget));
-  if (opt.retry_budget < 1) {
-    throw std::invalid_argument("--retry-budget must be >= 1, got " +
-                                std::to_string(opt.retry_budget));
-  }
-  opt.chaos_profile = flags.get_or("chaos-profile", opt.chaos_profile);
-  opt.breakers = flags.bool_or("breakers", opt.breakers);
-  opt.breaker_threshold =
-      static_cast<int>(flags.int_or("breaker-threshold", opt.breaker_threshold));
-  if (opt.breaker_threshold < 1) {
-    throw std::invalid_argument("--breaker-threshold must be >= 1, got " +
-                                std::to_string(opt.breaker_threshold));
-  }
-  opt.breaker_cooldown = flags.double_or("breaker-cooldown", opt.breaker_cooldown);
-  if (!(opt.breaker_cooldown >= 0.0) || !std::isfinite(opt.breaker_cooldown)) {
-    throw std::invalid_argument("--breaker-cooldown must be a finite value >= 0");
-  }
-  opt.breaker_probes = static_cast<int>(flags.int_or("breaker-probes", opt.breaker_probes));
-  if (opt.breaker_probes < 0) {
-    throw std::invalid_argument("--breaker-probes must be >= 0, got " +
-                                std::to_string(opt.breaker_probes));
-  }
-  opt.jitter = flags.bool_or("jitter", opt.jitter);
-  opt.resume = flags.bool_or("resume", opt.resume);
-  if (flags.bool_or("fresh", false)) opt.resume = false;
-  return opt;
 }
 
 }  // namespace mlaas

@@ -1,11 +1,24 @@
 // End-to-end integration of the Study API on a tiny quick-mode corpus.
 // This exercises the full pipeline: corpus -> platforms -> measurements ->
-// every experiment aggregation.
+// every experiment aggregation.  Also the one parser of the campaign knobs,
+// StudyOptions::from_flags.
 #include "core/study.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "platform/service.h"
+#include "util/cli.h"
 
 namespace mlaas {
 namespace {
@@ -143,6 +156,213 @@ TEST(StudyOptionsTest, CachePathEncodesSeedAndScale) {
   opt.scale = 2.0;
   EXPECT_NE(opt.cache_path().find("seed9"), std::string::npos);
   EXPECT_NE(opt.cache_path().find("scale2"), std::string::npos);
+}
+
+
+// ---- StudyOptions::from_flags ----
+
+// Clears the MLAAS_* flag defaults for each test and restores them after,
+// so a variable exported in the caller's shell cannot leak in.
+class StudyFlags : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* name : kEnv) {
+      const char* value = std::getenv(name);
+      saved_.emplace_back(name, value ? std::optional<std::string>(value) : std::nullopt);
+      unsetenv(name);
+    }
+  }
+  void TearDown() override {
+    for (const auto& [name, value] : saved_) {
+      if (value) setenv(name, value->c_str(), 1);
+      else unsetenv(name);
+    }
+  }
+
+  static StudyOptions parse(std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return StudyOptions::from_flags(CliFlags(static_cast<int>(args.size()), args.data()));
+  }
+
+  static void expect_rejected(std::vector<const char*> args, const std::string& needle) {
+    try {
+      parse(args);
+      ADD_FAILURE() << "accepted; expected an error naming " << needle;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  }
+
+  static constexpr const char* kEnv[] = {"MLAAS_SEED", "MLAAS_SCALE", "MLAAS_FAULT_RATE"};
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
+TEST_F(StudyFlags, ParsesAll) {
+  const StudyOptions opt = parse({"--seed", "5", "--scale", "0.5", "--quick"});
+  EXPECT_EQ(opt.seed, 5u);
+  EXPECT_DOUBLE_EQ(opt.scale, 0.5);
+  EXPECT_TRUE(opt.quick);
+  EXPECT_EQ(opt.schedule, Schedule::kDynamic);  // default
+}
+
+TEST_F(StudyFlags, NegativeThreadsRejectedAtParseTime) {
+  // The historical crash: --threads -1 passed through a size_t cast and
+  // asked the pool for ~2^64 workers.  It must die here, with a usage
+  // error, before any campaign machinery runs.
+  expect_rejected({"--threads=-1"}, "--threads");
+  expect_rejected({"--threads=-1000000"}, "--threads");
+}
+
+TEST_F(StudyFlags, ZeroThreadsMeansHardware) {
+  EXPECT_EQ(parse({"--threads", "0"}).threads, 0);
+}
+
+TEST_F(StudyFlags, ScheduleValidated) {
+  EXPECT_EQ(parse({"--schedule", "static"}).schedule, Schedule::kStatic);
+  expect_rejected({"--schedule", "roundrobin"}, "--schedule");
+}
+
+TEST_F(StudyFlags, EmptyArgvYieldsDefaults) {
+  const StudyOptions opt = parse({});
+  const StudyOptions def;
+  EXPECT_EQ(opt.seed, def.seed);
+  EXPECT_EQ(opt.scale, def.scale);
+  EXPECT_EQ(opt.quick, def.quick);
+  EXPECT_EQ(opt.threads, def.threads);
+  EXPECT_EQ(opt.schedule, def.schedule);
+  EXPECT_EQ(opt.cache_path_override, def.cache_path_override);
+  EXPECT_EQ(opt.verbose, def.verbose);
+  EXPECT_EQ(opt.fault_rate, def.fault_rate);
+  EXPECT_EQ(opt.quota_profile, def.quota_profile);
+  EXPECT_EQ(opt.retry_budget, def.retry_budget);
+  EXPECT_EQ(opt.chaos_profile, def.chaos_profile);
+  EXPECT_EQ(opt.breaker.enabled, def.breaker.enabled);
+  EXPECT_EQ(opt.breaker.failure_threshold, def.breaker.failure_threshold);
+  EXPECT_EQ(opt.breaker.cooldown_seconds, def.breaker.cooldown_seconds);
+  EXPECT_EQ(opt.breaker.max_probes, def.breaker.max_probes);
+  EXPECT_EQ(opt.jitter, def.jitter);
+  EXPECT_EQ(opt.resume, def.resume);
+  EXPECT_EQ(opt.trace, def.trace);
+}
+
+TEST_F(StudyFlags, EachBadValueNamesItsFlag) {
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases = {
+      {{"--seed", "7abc"}, "--seed"},
+      {{"--scale", "0"}, "--scale"},
+      {{"--scale", "inf"}, "--scale"},
+      {{"--scale", "nan"}, "--scale"},
+      {{"--quick", "on"}, "--quick"},
+      {{"--threads", "4294967297"}, "--threads"},  // would wrap to 1 as an int
+      {{"--fault-rate", "1.5"}, "--fault-rate"},
+      {{"--fault-rate", "-0.1"}, "--fault-rate"},
+      {{"--retry-budget", "0"}, "--retry-budget"},
+      {{"--breakers", "on"}, "--breakers"},
+      {{"--breaker-threshold", "0"}, "--breaker-threshold"},
+      {{"--breaker-cooldown", "-1"}, "--breaker-cooldown"},
+      {{"--breaker-cooldown", "inf"}, "--breaker-cooldown"},
+      {{"--breaker-probes", "-1"}, "--breaker-probes"},
+      {{"--jitter", "maybe"}, "--jitter"},
+      {{"--resume", "2"}, "--resume"},
+      {{"--fresh", "x"}, "--fresh"},
+  };
+  for (const auto& [args, flag] : cases) expect_rejected(args, flag);
+}
+
+TEST_F(StudyFlags, EnvDefaultsApplyAndFlagsOverrideThem) {
+  setenv("MLAAS_SEED", "9", 1);
+  setenv("MLAAS_SCALE", "0.25", 1);
+  setenv("MLAAS_FAULT_RATE", "0.2", 1);
+  const StudyOptions from_env = parse({});
+  EXPECT_EQ(from_env.seed, 9u);
+  EXPECT_DOUBLE_EQ(from_env.scale, 0.25);
+  EXPECT_DOUBLE_EQ(from_env.fault_rate, 0.2);
+  const StudyOptions from_flags = parse({"--seed", "3", "--scale", "2", "--fault-rate", "0"});
+  EXPECT_EQ(from_flags.seed, 3u);
+  EXPECT_DOUBLE_EQ(from_flags.scale, 2.0);
+  EXPECT_DOUBLE_EQ(from_flags.fault_rate, 0.0);
+}
+
+TEST_F(StudyFlags, MalformedEnvValueNamesTheVariable) {
+  for (const auto& [name, value] : std::vector<std::pair<const char*, const char*>>{
+           {"MLAAS_SEED", "abc"}, {"MLAAS_SCALE", "2x"}, {"MLAAS_FAULT_RATE", "0.1x"},
+           {"MLAAS_SEED", ""}}) {
+    setenv(name, value, 1);
+    // The variable is parsed even when its flag is given.
+    expect_rejected({}, name);
+    expect_rejected({"--seed", "1", "--scale", "1", "--fault-rate", "0"}, name);
+    unsetenv(name);
+  }
+}
+
+TEST_F(StudyFlags, UnknownProfileNamesRejected) {
+  expect_rejected({"--quota-profile", "typo"}, "--quota-profile");
+  expect_rejected({"--chaos-profile", "typo"}, "--chaos-profile");
+  for (const auto& name : quota_profile_names()) {
+    EXPECT_EQ(parse({"--quota-profile", name.c_str()}).quota_profile, name);
+  }
+  for (const auto& name : chaos_profile_names()) {
+    EXPECT_EQ(parse({"--chaos-profile", name.c_str()}).chaos_profile, name);
+  }
+}
+
+TEST_F(StudyFlags, LeavesOtherFlagsToTheCaller) {
+  std::vector<const char*> argv{"prog", "--seed", "3", "--verbose"};
+  const CliFlags flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(StudyOptions::from_flags(flags).seed, 3u);
+  try {
+    flags.reject_unread();
+    FAIL() << "--verbose is not a campaign knob";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--verbose"), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(StudyFlags, UsageListsExactlyTheFlagsItReads) {
+  // The --help text of both front ends: every flag of a full argv is listed,
+  // and every listed flag is one from_flags reads.
+  const std::vector<const char*> argv = {
+      "prog", "--seed", "7", "--scale", "0.75", "--quick", "--threads", "2",
+      "--schedule", "static", "--fault-rate", "0.1", "--quota-profile", "strict",
+      "--retry-budget", "3", "--chaos-profile", "storm", "--breakers",
+      "--breaker-threshold", "4", "--breaker-cooldown", "90.5", "--breaker-probes", "1",
+      "--jitter", "--resume", "--fresh"};
+  const CliFlags flags(static_cast<int>(argv.size()), argv.data());
+  StudyOptions::from_flags(flags);
+  EXPECT_NO_THROW(flags.reject_unread());
+  std::set<std::string> given;
+  for (const char* arg : argv) {
+    if (std::string(arg).rfind("--", 0) == 0) given.insert(arg);
+  }
+  std::set<std::string> listed;
+  std::istringstream usage(StudyOptions::flags_usage());
+  const std::regex flag("--[a-z-]+");
+  for (std::string line; std::getline(usage, line);) {
+    const std::string column = line.substr(0, line.find("  ", 2));  // flag column
+    for (std::sregex_iterator it(column.begin(), column.end(), flag), end; it != end; ++it) {
+      listed.insert(it->str());
+    }
+  }
+  EXPECT_EQ(listed, given);
+}
+
+TEST_F(StudyFlags, FingerprintOfFullArgvIsPinned) {
+  // The literal was produced by the pre-from_flags parser: caches and
+  // journals written before it stay valid.
+  const MeasurementOptions m =
+      parse({"--seed", "7", "--scale", "0.75", "--threads", "2", "--schedule", "static",
+             "--fault-rate", "0.1", "--quota-profile", "strict", "--retry-budget", "3",
+             "--chaos-profile", "storm", "--breakers", "--breaker-threshold", "4",
+             "--breaker-cooldown", "90.5", "--breaker-probes", "1", "--jitter", "--fresh"})
+          .measurement_options();
+  EXPECT_EQ(measurement_fingerprint({}, make_all_platforms(), m),
+            "mlaas-measurements-v2 corpus=0 "
+            "platforms=Google,ABM,Amazon,BigML,PredictionIO,Microsoft,Local seed=7 "
+            "scale=0.75 para=12 joint=40 test_fraction=0.3 fault=0.1 profile=strict "
+            "retries=3 chaos=storm breaker=4/90.5/1 jitter=1");
+  EXPECT_EQ(m.threads, 2);
+  EXPECT_EQ(m.schedule, Schedule::kStatic);
+  EXPECT_FALSE(m.campaign.resume);
+  EXPECT_TRUE(m.verbose);
 }
 
 }  // namespace

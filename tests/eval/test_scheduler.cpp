@@ -60,6 +60,34 @@ std::string masked_table(const MeasurementTable& table) {
   return out.str();
 }
 
+// Header and session-marker lines of a journal; every other line is a row.
+bool is_journal_marker(const std::string& line) {
+  return line.rfind("#", 0) == 0 || line.rfind("=", 0) == 0;
+}
+
+// A journal row line (measurement_row_to_tsv) with its sec/psec fields masked.
+std::string masked_row(const std::string& line) {
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t tab = line.find('\t', start);
+    if (tab == std::string::npos) {
+      fields.push_back(line.substr(start));
+      break;
+    }
+    fields.push_back(line.substr(start, tab - start));
+    start = tab + 1;
+  }
+  EXPECT_EQ(fields.size(), 14u) << "unexpected journal row: " << line;
+  if (fields.size() == 14) {
+    fields[10] = "X";  // sec column
+    fields[11] = "X";  // psec column
+  }
+  std::string out;
+  for (std::size_t i = 0; i < fields.size(); ++i) out += (i > 0 ? "\t" : "") + fields[i];
+  return out;
+}
+
 // Journal bytes with the sec/psec fields of each row line masked.  Marker and
 // header lines pass through untouched.
 std::string masked_journal(const std::string& path) {
@@ -68,30 +96,7 @@ std::string masked_journal(const std::string& path) {
   std::ostringstream out;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("#", 0) == 0 || line.rfind("=", 0) == 0) {
-      out << line << '\n';
-      continue;
-    }
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t tab = line.find('\t', start);
-      if (tab == std::string::npos) {
-        fields.push_back(line.substr(start));
-        break;
-      }
-      fields.push_back(line.substr(start, tab - start));
-      start = tab + 1;
-    }
-    EXPECT_EQ(fields.size(), 14u) << "unexpected journal row: " << line;
-    if (fields.size() == 14) {
-      fields[10] = "X";  // sec column
-      fields[11] = "X";  // psec column
-    }
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      out << (i > 0 ? "\t" : "") << fields[i];
-    }
-    out << '\n';
+    out << (is_journal_marker(line) ? line : masked_row(line)) << '\n';
   }
   return out.str();
 }
@@ -147,41 +152,70 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossThreadsAndSchedules) 
   expect_identical_across_schedules(fast_options());
 }
 
+// Every cell of the campaign measured directly, in the campaign's canonical
+// (dataset, platform, config) order.  measure_one fits outside any session,
+// with no TrainContext installed, so this is the campaign without
+// train-state reuse.
+MeasurementTable direct_table(const MeasurementOptions& options,
+                              const std::vector<PlatformPtr>& platforms) {
+  MeasurementTable table;
+  for (const Dataset& dataset : skewed_corpus()) {
+    for (const auto& platform : platforms) {
+      for (const auto& config : enumerate_configs(*platform, options)) {
+        if (auto m = measure_one(dataset, *platform, config, options)) table.add(*m);
+      }
+    }
+  }
+  return table;
+}
+
+// A campaign run must equal the direct measurement of its cells, masked: the
+// table row for row, and the journal's row lines (the journal brackets the
+// same rows with session markers).
+void expect_equals_direct(const RunArtifacts& run, const MeasurementTable& direct) {
+  ASSERT_FALSE(direct.rows().empty());
+  EXPECT_EQ(run.table, masked_table(direct));
+  std::istringstream journal(run.journal);
+  std::string journal_rows;
+  for (std::string line; std::getline(journal, line);) {
+    if (!is_journal_marker(line)) journal_rows += line + '\n';
+  }
+  std::string direct_rows;
+  for (const auto& row : direct.rows()) {
+    direct_rows += masked_row(measurement_row_to_tsv(row)) + '\n';
+  }
+  EXPECT_EQ(journal_rows, direct_rows);
+}
+
 TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossTrainStateReuse) {
   // The session-scoped TrainContext (shared tree presorts + kNN norms
-  // across a session's cells) must be invisible at campaign level: with
-  // reuse disabled every fit rebuilds its state from scratch, and the
-  // masked table and journal bytes must not move.
-  MeasurementOptions fresh = fast_options();
-  fresh.reuse_train_state = false;
-  const RunArtifacts reference = run_once(fresh, 2, Schedule::kStatic);
-  ASSERT_FALSE(reference.table.empty());
-  MeasurementOptions reused = fast_options();
-  reused.reuse_train_state = true;
-  const RunArtifacts run = run_once(reused, 2, Schedule::kStatic);
-  EXPECT_EQ(run.table, reference.table);
-  EXPECT_EQ(run.journal, reference.journal);
+  // across a session's cells) must be invisible at campaign level: every
+  // campaign row, in the table and in the journal, equals the direct,
+  // context-free measurement of its cell.
+  const MeasurementOptions options = fast_options();
+  expect_equals_direct(run_once(options, 2, Schedule::kStatic),
+                       direct_table(options, small_roster()));
 }
 
 TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossFeatureStepReuse) {
-  // Microsoft and Local are the platforms with feature steps.  With reuse on,
-  // a session fits each step once per run of same-step cells
+  // Microsoft and Local are the platforms with feature steps.  A session
+  // fits each step once per run of same-step cells
   // (TrainContext::feature_step) and trains the classifiers on the shared
-  // transform; with it off every cell fits its own step.  The masked table
-  // and journal bytes must not move.
+  // transform; measure_one fits every cell's own step.  The masked table and
+  // journal rows must not move.
   const auto roster = [] {
     std::vector<PlatformPtr> platforms;
     platforms.push_back(make_platform("Microsoft"));
     platforms.push_back(make_platform("Local"));
     return platforms;
   };
-  MeasurementOptions fresh = fast_options();
-  fresh.joint_sample = 50;
+  MeasurementOptions options = fast_options();
+  options.joint_sample = 50;
   // Every feature step runs in the FEAT dimension (one cell per classifier)
   // and again in the joint sample.
   for (const auto& platform : roster()) {
     const ControlSurface surface = platform->controls();
-    const auto configs = enumerate_configs(*platform, fresh);
+    const auto configs = enumerate_configs(*platform, options);
     for (const auto& step : surface.feature_steps) {
       const auto cells = std::count_if(configs.begin(), configs.end(),
                                        [&](const PipelineConfig& c) {
@@ -191,14 +225,8 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossFeatureStepReuse) {
           << platform->name() << " " << step << " is not in the joint sample";
     }
   }
-  fresh.reuse_train_state = false;
-  const RunArtifacts reference = run_once(fresh, 2, Schedule::kStatic, roster());
-  ASSERT_FALSE(reference.table.empty());
-  MeasurementOptions reused = fresh;
-  reused.reuse_train_state = true;
-  const RunArtifacts run = run_once(reused, 2, Schedule::kStatic, roster());
-  EXPECT_EQ(run.table, reference.table);
-  EXPECT_EQ(run.journal, reference.journal);
+  expect_equals_direct(run_once(options, 2, Schedule::kStatic, roster()),
+                       direct_table(options, roster()));
 }
 
 TEST(CampaignScheduler, InvariantUnderFaultsChaosAndBreakers) {

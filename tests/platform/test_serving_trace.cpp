@@ -175,6 +175,12 @@ TEST(ServingTrace, ValidateOptionsRejectsEachBadKnob) {
   expect_rejected(
       [](ServingOptions& o) {
         o.breaker.enabled = true;
+        o.breaker.cooldown_seconds = std::numeric_limits<double>::infinity();
+      },
+      "--breaker-cooldown");
+  expect_rejected(
+      [](ServingOptions& o) {
+        o.breaker.enabled = true;
         o.breaker.max_probes = -2;
       },
       "--breaker-probes");

@@ -60,40 +60,35 @@ TEST(CliFlags, RejectUnreadAcceptsEveryReadFlag) {
   EXPECT_NO_THROW(flags.reject_unread());
 }
 
-TEST(BenchOptions, ParsesAll) {
-  std::vector<const char*> argv{"prog", "--seed", "5", "--scale", "0.5", "--quick"};
-  const auto opt = parse_bench_options(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(opt.seed, 5u);
-  EXPECT_DOUBLE_EQ(opt.scale, 0.5);
-  EXPECT_TRUE(opt.quick);
-  EXPECT_EQ(opt.schedule, "dynamic");  // default
+TEST(CliFlags, NumericValuesMustParseWhole) {
+  const auto flags = parse({"--n", "2x", "--seed", "7abc", "--rate", "0.1x", "--empty="});
+  for (const char* name : {"n", "seed", "empty"}) {
+    try {
+      flags.int_or(name, 0);
+      ADD_FAILURE() << "--" << name << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(flags.double_or("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW(flags.double_or("empty", 0.0), std::invalid_argument);
+  const auto good = parse({"--n", "-3", "--rate", "2.5e-1"});
+  EXPECT_EQ(good.int_or("n", 0), -3);
+  EXPECT_DOUBLE_EQ(good.double_or("rate", 0.0), 0.25);
 }
 
-TEST(BenchOptions, NegativeThreadsRejectedAtParseTime) {
-  // The historical crash: --threads -1 passed through a size_t cast and
-  // asked the pool for ~2^64 workers.  It must die here, with a usage
-  // error, before any campaign machinery runs.
-  std::vector<const char*> argv{"prog", "--threads=-1"};
-  EXPECT_THROW(parse_bench_options(static_cast<int>(argv.size()), argv.data()),
-               std::invalid_argument);
-  std::vector<const char*> argv2{"prog", "--threads=-1000000"};
-  EXPECT_THROW(parse_bench_options(static_cast<int>(argv2.size()), argv2.data()),
-               std::invalid_argument);
-}
-
-TEST(BenchOptions, ZeroThreadsMeansHardware) {
-  std::vector<const char*> argv{"prog", "--threads", "0"};
-  const auto opt = parse_bench_options(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(opt.threads, 0);
-}
-
-TEST(BenchOptions, ScheduleValidated) {
-  std::vector<const char*> good{"prog", "--schedule", "static"};
-  EXPECT_EQ(parse_bench_options(static_cast<int>(good.size()), good.data()).schedule,
-            "static");
-  std::vector<const char*> bad{"prog", "--schedule", "roundrobin"};
-  EXPECT_THROW(parse_bench_options(static_cast<int>(bad.size()), bad.data()),
-               std::invalid_argument);
+TEST(CliFlags, BoolValuesAreTrueFalseOrAnError) {
+  const auto flags = parse({"--a=true", "--b=1", "--c=yes", "--d=false", "--e=0", "--f=no",
+                            "--breakers", "on"});
+  for (const char* name : {"a", "b", "c"}) EXPECT_TRUE(flags.bool_or(name, false)) << name;
+  for (const char* name : {"d", "e", "f"}) EXPECT_FALSE(flags.bool_or(name, true)) << name;
+  try {
+    flags.bool_or("breakers", false);
+    FAIL() << "--breakers on was read as a boolean";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--breakers"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // mlaas_cli — command-line front end for the library.  `mlaas_cli --help`
-// prints the commands and their flags (kUsage below).  Every command rejects
-// a flag it does not read.
+// prints the commands and their flags (kUsage below, then the campaign flags
+// from StudyOptions::flags_usage).  Every command rejects a flag it does not
+// read.
 #include <cmath>
 #include <filesystem>
 #include <iostream>
@@ -41,17 +42,14 @@ constexpr const char* kUsage = R"(usage: mlaas_cli <command> [flags]
       Decision-boundary probe on the CIRCLE and LINEAR datasets (§6.1).
   mlaas_cli corpus --out DIR [--seed 42] [--n 119]
       Write the synthetic study corpus as CSV files.
-  mlaas_cli campaign [--quick] [--seed 42] [--scale 1] [--threads N]
-             [--schedule static|dynamic] [--verbose]
-             [--fault-rate 0.1] [--quota-profile strict] [--retry-budget 6]
-             [--chaos-profile storm] [--breakers] [--breaker-threshold 3]
-             [--breaker-cooldown 300] [--breaker-probes 2] [--jitter]
-             [--journal PATH] [--resume|--fresh]
+  mlaas_cli campaign [campaign flags] [--verbose] [--journal PATH]
              [--out report.tsv] [--json report.json] [--trace-out trace.json]
       Run the measurement campaign through the simulated service layer
-      and print/write the per-platform telemetry report.  Finished cells
-      are journaled to PATH (write-ahead, fsync'd); an interrupted
-      campaign resumes from the journal on the next run unless --fresh.
+      and print/write the per-platform telemetry report.  The campaign
+      flags, shared with the study benches, are listed at the end.
+      Finished cells are journaled to PATH (write-ahead, fsync'd); an
+      interrupted campaign resumes from the journal on the next run
+      unless --fresh.
   mlaas_cli serve-bench [--tenants 6] [--platforms Local,Google,...]
              [--requests 2000] [--rate 50] [--closed-loop] [--clients 8]
              [--batch 64] [--linger 0.05] [--cache-capacity 8]
@@ -177,57 +175,8 @@ int cmd_corpus(const CliFlags& flags) {
 }
 
 int cmd_campaign(const CliFlags& flags) {
-  StudyOptions opt;
-  opt.seed = static_cast<std::uint64_t>(flags.int_or("seed", 42));
-  opt.scale = flags.double_or("scale", 1.0);
-  opt.quick = flags.bool_or("quick", false);
-  opt.threads = static_cast<int>(flags.int_or("threads", 0));
-  if (opt.threads < 0) {
-    throw std::invalid_argument("--threads must be >= 0 (0 = hardware concurrency), got " +
-                                std::to_string(opt.threads));
-  }
-  opt.schedule = flags.get_or("schedule", "dynamic");
-  if (opt.schedule != "static" && opt.schedule != "dynamic") {
-    throw std::invalid_argument("--schedule must be 'static' or 'dynamic', got '" +
-                                opt.schedule + "'");
-  }
+  StudyOptions opt = StudyOptions::from_flags(flags);
   opt.verbose = flags.bool_or("verbose", false);
-  // Parse-time validation, mirroring the --threads fix above: every knob
-  // below used to flow unchecked into the campaign, where nonsense values
-  // (fault rate above 1, zero retry budget) ran a silently degenerate
-  // campaign instead of failing the invocation.
-  if (!(opt.scale > 0.0) || !std::isfinite(opt.scale)) {
-    throw std::invalid_argument("--scale must be a finite value > 0");
-  }
-  opt.fault_rate = flags.double_or("fault-rate", 0.0);
-  if (!(opt.fault_rate >= 0.0 && opt.fault_rate <= 1.0)) {
-    throw std::invalid_argument("--fault-rate must be in [0, 1]");
-  }
-  opt.quota_profile = flags.get_or("quota-profile", "default");
-  opt.retry_budget = static_cast<int>(flags.int_or("retry-budget", 6));
-  if (opt.retry_budget < 1) {
-    throw std::invalid_argument("--retry-budget must be >= 1, got " +
-                                std::to_string(opt.retry_budget));
-  }
-  opt.chaos_profile = flags.get_or("chaos-profile", "none");
-  opt.breakers = flags.bool_or("breakers", false);
-  opt.breaker_threshold = static_cast<int>(flags.int_or("breaker-threshold", 3));
-  if (opt.breaker_threshold < 1) {
-    throw std::invalid_argument("--breaker-threshold must be >= 1, got " +
-                                std::to_string(opt.breaker_threshold));
-  }
-  opt.breaker_cooldown = flags.double_or("breaker-cooldown", 300.0);
-  if (!(opt.breaker_cooldown >= 0.0) || !std::isfinite(opt.breaker_cooldown)) {
-    throw std::invalid_argument("--breaker-cooldown must be a finite value >= 0");
-  }
-  opt.breaker_probes = static_cast<int>(flags.int_or("breaker-probes", 2));
-  if (opt.breaker_probes < 0) {
-    throw std::invalid_argument("--breaker-probes must be >= 0, got " +
-                                std::to_string(opt.breaker_probes));
-  }
-  opt.jitter = flags.bool_or("jitter", false);
-  opt.resume = flags.bool_or("resume", true);
-  if (flags.bool_or("fresh", false)) opt.resume = false;
   const auto trace_out = flags.get("trace-out");
   opt.trace = trace_out.has_value();
   const std::string journal_path =
@@ -340,10 +289,6 @@ int cmd_serve_bench(const CliFlags& flags) {
   }
   options.serving.max_batch_rows = static_cast<std::size_t>(batch);
   options.serving.linger_seconds = flags.double_or("linger", 0.05);
-  if (!(options.serving.linger_seconds >= 0.0) ||
-      !std::isfinite(options.serving.linger_seconds)) {
-    throw std::invalid_argument("--linger must be a finite value >= 0");
-  }
   const long long cache_capacity = flags.int_or("cache-capacity", 8);
   if (cache_capacity < 1) {
     throw std::invalid_argument("--cache-capacity must be >= 1, got " +
@@ -357,15 +302,8 @@ int cmd_serve_bench(const CliFlags& flags) {
   }
   options.serving.max_pending_rows = static_cast<std::size_t>(max_pending);
   options.serving.fault_rate = flags.double_or("fault-rate", 0.0);
-  if (!(options.serving.fault_rate >= 0.0 && options.serving.fault_rate <= 1.0)) {
-    throw std::invalid_argument("--fault-rate must be in [0, 1]");
-  }
   options.serving.chaos_profile = flags.get_or("chaos-profile", "none");
-  const double deadline_ms = flags.double_or("deadline-ms", 0.0);
-  if (!(deadline_ms >= 0.0) || !std::isfinite(deadline_ms)) {
-    throw std::invalid_argument("--deadline-ms must be a finite value >= 0");
-  }
-  options.serving.deadline_seconds = deadline_ms / 1000.0;
+  options.serving.deadline_seconds = flags.double_or("deadline-ms", 0.0) / 1000.0;
   options.serving.fallback_platform = flags.get_or("fallback", "");
   options.serving.serve_last_known_good = flags.bool_or("last-known-good", false);
   options.serving.breaker.enabled = flags.bool_or("breakers", false);
@@ -375,11 +313,15 @@ int cmd_serve_bench(const CliFlags& flags) {
   options.serving.breaker.max_probes = static_cast<int>(flags.int_or("breaker-probes", 2));
   const auto trace_out = flags.get("trace-out");
   options.serving.trace = trace_out.has_value();
-  const auto n_tenants = static_cast<std::size_t>(flags.int_or("tenants", 6));
+  const long long n_tenants = flags.int_or("tenants", 6);
+  if (n_tenants < 1) {
+    throw std::invalid_argument("--tenants must be >= 1, got " + std::to_string(n_tenants));
+  }
   const auto out = flags.get("out");
   const auto json = flags.get("json");
   flags.reject_unread();
-  // Cross-field checks shared with embedders of ServingOptions.
+  // The ServingOptions range checks (--linger, --fault-rate, --deadline-ms,
+  // the breaker knobs), shared with embedders.
   validate_serving_options(options.serving);
   if (!options.serving.fallback_platform.empty()) {
     // The fallback must be part of the roster the router is built over.
@@ -388,7 +330,8 @@ int cmd_serve_bench(const CliFlags& flags) {
     if (!present) roster.push_back(options.serving.fallback_platform);
   }
 
-  const auto tenants = make_serving_tenants(n_tenants, roster, options.seed);
+  const auto tenants =
+      make_serving_tenants(static_cast<std::size_t>(n_tenants), roster, options.seed);
   const ServingWorkloadResult result = run_serving_workload(tenants, options);
   const ServingStats& totals = result.report.totals;
 
@@ -459,7 +402,8 @@ int main(int argc, char** argv) {
   try {
     const CliFlags flags(argc - 1, argv + 1);
     if (command == "--help" || flags.get("help")) {
-      std::cout << kUsage;
+      std::cout << kUsage << "\ncampaign flags (defaults in parentheses):\n"
+                << StudyOptions::flags_usage();
       return 0;
     }
     if (command == "list") return cmd_list(flags);

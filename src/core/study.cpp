@@ -34,6 +34,18 @@ std::string profile_or(const CliFlags& flags, const std::string& name,
 
 }  // namespace
 
+BreakerOptions breaker_options_from_flags(const CliFlags& flags) {
+  BreakerOptions b;
+  b.enabled = flags.bool_or("breakers", b.enabled);
+  b.failure_threshold = int_flag(flags, "breaker-threshold", b.failure_threshold, 1);
+  b.cooldown_seconds = flags.double_or("breaker-cooldown", b.cooldown_seconds);
+  if (!(b.cooldown_seconds >= 0.0) || !std::isfinite(b.cooldown_seconds)) {
+    throw std::invalid_argument("--breaker-cooldown must be a finite value >= 0");
+  }
+  b.max_probes = int_flag(flags, "breaker-probes", b.max_probes, 0);
+  return b;
+}
+
 StudyOptions StudyOptions::from_flags(const CliFlags& flags) {
   StudyOptions opt;
   if (const char* env = std::getenv("MLAAS_SEED")) {
@@ -58,14 +70,7 @@ StudyOptions StudyOptions::from_flags(const CliFlags& flags) {
   opt.quota_profile = profile_or(flags, "quota-profile", opt.quota_profile, quota_profile_names());
   opt.retry_budget = int_flag(flags, "retry-budget", opt.retry_budget, 1);
   opt.chaos_profile = profile_or(flags, "chaos-profile", opt.chaos_profile, chaos_profile_names());
-  opt.breaker.enabled = flags.bool_or("breakers", opt.breaker.enabled);
-  opt.breaker.failure_threshold =
-      int_flag(flags, "breaker-threshold", opt.breaker.failure_threshold, 1);
-  opt.breaker.cooldown_seconds = flags.double_or("breaker-cooldown", opt.breaker.cooldown_seconds);
-  if (!(opt.breaker.cooldown_seconds >= 0.0) || !std::isfinite(opt.breaker.cooldown_seconds)) {
-    throw std::invalid_argument("--breaker-cooldown must be a finite value >= 0");
-  }
-  opt.breaker.max_probes = int_flag(flags, "breaker-probes", opt.breaker.max_probes, 0);
+  opt.breaker = breaker_options_from_flags(flags);
   opt.jitter = flags.bool_or("jitter", opt.jitter);
   opt.resume = flags.bool_or("resume", opt.resume);
   if (flags.bool_or("fresh", false)) opt.resume = false;
@@ -155,9 +160,8 @@ std::vector<std::string> Study::platform_order() const { return platform_names()
 
 void Study::ensure_measurements() {
   if (measurements_) return;
-  const MeasurementTable full =
-      run_or_load(corpus(), platforms(), options_.measurement_options(),
-                  options_.cache_path(), &campaign_report_);
+  const MeasurementTable full = run_or_load(corpus(), platforms(),
+                                           options_.measurement_options(), options_.cache_path());
   measurements_ = full.succeeded();
   measurement_failures_ = full.failures();
 }
@@ -170,11 +174,6 @@ const MeasurementTable& Study::measurements() {
 const MeasurementTable& Study::measurement_failures() {
   ensure_measurements();
   return *measurement_failures_;
-}
-
-const CampaignReport& Study::campaign_report() {
-  ensure_measurements();
-  return campaign_report_;
 }
 
 std::vector<PlatformSummary> Study::baseline() { return baseline_summary(measurements()); }

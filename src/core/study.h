@@ -32,6 +32,11 @@
 
 namespace mlaas {
 
+/// --breakers, --breaker-threshold, --breaker-cooldown and --breaker-probes,
+/// with BreakerOptions{}'s defaults; shared by the campaign flags and
+/// `mlaas_cli serve-bench`.  Throws std::invalid_argument naming the flag.
+BreakerOptions breaker_options_from_flags(const CliFlags& flags);
+
 struct StudyOptions {
   std::uint64_t seed = 42;
   double scale = 1.0;        // grid/corpus scaling knob (DESIGN.md)
@@ -100,10 +105,6 @@ class Study {
   /// Failure rows of the campaign (empty when fault_rate == 0 and no quota
   /// was exhausted).
   const MeasurementTable& measurement_failures();
-  /// Per-platform service telemetry of the campaign (requests, retries,
-  /// rate-limit stalls, simulated wall-clock).  Reloaded from the cache
-  /// sidecar on cache hits; empty if the sidecar is missing.
-  const CampaignReport& campaign_report();
 
   // ---- Experiments (paper table/figure index in DESIGN.md) ----
   std::vector<PlatformSummary> baseline();                      // Table 3(a)
@@ -132,7 +133,6 @@ class Study {
   std::vector<PlatformPtr> platforms_;
   std::optional<MeasurementTable> measurements_;
   std::optional<MeasurementTable> measurement_failures_;
-  CampaignReport campaign_report_;
   std::optional<FamilyPredictorReport> family_report_;
   std::optional<std::vector<NaiveResult>> naive_;
 };

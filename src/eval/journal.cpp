@@ -14,10 +14,9 @@ namespace {
 
 // Session markers share the file with cell rows; the prefix cannot collide
 // with a dataset id because rows never start with "=".  A reset marker
-// invalidates every earlier row of its session: the driver writes one
-// before (re-)running a session live, so partial rows surviving from a
-// crashed run are never double-counted once the session re-runs to
-// completion in a later append pass.
+// invalidates every earlier row of its session: each session block opens
+// with one, so rows surviving from a crashed or earlier run are never
+// double-counted once the session re-runs to completion.
 constexpr const char* kSessionDonePrefix = "= done\t";
 constexpr const char* kSessionResetPrefix = "= reset\t";
 
@@ -95,38 +94,20 @@ CellJournal::CellJournal(std::string path, const std::string& fingerprint, bool 
   if (file_ == nullptr) {
     throw std::runtime_error("CellJournal: cannot open " + path_);
   }
-  if (truncate) {
-    write_line("# " + fingerprint);
+  if (!truncate) return;
+  try {
+    if (std::fputs(("# " + fingerprint + '\n').c_str(), file_) < 0) {
+      throw std::runtime_error("CellJournal: write failed for " + path_);
+    }
+    fsync_file(file_);
+  } catch (...) {
+    std::fclose(file_);  // the destructor does not run for a throwing constructor
+    throw;
   }
 }
 
 CellJournal::~CellJournal() {
   if (file_ != nullptr) std::fclose(file_);
-}
-
-void CellJournal::write_line(const std::string& line) {
-  if (std::fputs(line.c_str(), file_) < 0 || std::fputc('\n', file_) == EOF) {
-    throw std::runtime_error("CellJournal: write failed for " + path_);
-  }
-  fsync_file(file_);
-}
-
-void CellJournal::append_cell(const Measurement& m) {
-  std::lock_guard lock(mu_);
-  write_line(measurement_row_to_tsv(m));
-  ++cells_;
-}
-
-void CellJournal::append_session_done(const std::string& dataset_id,
-                                      const std::string& platform) {
-  std::lock_guard lock(mu_);
-  write_line(kSessionDonePrefix + session_key(dataset_id, platform));
-}
-
-void CellJournal::append_session_reset(const std::string& dataset_id,
-                                       const std::string& platform) {
-  std::lock_guard lock(mu_);
-  write_line(kSessionResetPrefix + session_key(dataset_id, platform));
 }
 
 void CellJournal::append_session_block(const std::string& dataset_id,

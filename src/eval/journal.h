@@ -3,10 +3,10 @@
 // The paper's measurement campaign ran against live cloud endpoints for ~5
 // months — inevitably restarting after provider outages and script crashes.
 // A campaign that loses every finished cell on a crash cannot reproduce
-// that.  CellJournal gives run_campaign an append-only, fsync'd log: one
-// line per finished (dataset, platform, config) cell in the exact cache-v2
-// row format, under the same fingerprint header the measurement cache uses,
-// plus a completion marker per (dataset, platform) session.
+// that.  CellJournal gives run_campaign an append-only, fsync'd log under
+// the same fingerprint header the measurement cache uses: one block per
+// finished (dataset, platform) session -- a reset marker, one line per cell
+// in the measurement cache's row format, a completion marker.
 //
 // Resume semantics: sessions whose completion marker reached disk are
 // restored verbatim; a session caught mid-flight is re-run from scratch and
@@ -50,31 +50,22 @@ class CellJournal {
   static std::optional<Restored> load(const std::string& path,
                                       const std::string& fingerprint);
 
-  /// Open for appending.  `truncate` starts fresh (also used when the
-  /// on-disk fingerprint does not match); otherwise rows accumulate after
-  /// the existing content.  Throws std::runtime_error if the file cannot be
-  /// opened.
+  /// Open for appending.  `truncate` starts fresh with the fingerprint line
+  /// (also used when the on-disk fingerprint does not match); otherwise
+  /// blocks accumulate after the existing content.  Throws
+  /// std::runtime_error if the file cannot be opened or written.
   CellJournal(std::string path, const std::string& fingerprint, bool truncate);
   ~CellJournal();
 
   CellJournal(const CellJournal&) = delete;
   CellJournal& operator=(const CellJournal&) = delete;
 
-  /// Append one finished cell and fsync (the write-ahead guarantee: a cell
-  /// acknowledged here survives a crash).  Thread-safe.
-  void append_cell(const Measurement& m);
-  /// Mark a (dataset, platform) session complete and fsync.  Thread-safe.
-  void append_session_done(const std::string& dataset_id, const std::string& platform);
-  /// Invalidate every earlier journal row of a session; written before a
-  /// session (re-)runs live so partial rows from a crashed run are never
-  /// double-counted.  Thread-safe.
-  void append_session_reset(const std::string& dataset_id, const std::string& platform);
-
-  /// Append a whole finished session as one atomic block — reset marker,
-  /// every row, done marker — with a single fsync.  This is what the
-  /// session-level scheduler uses: the session is the resume unit, so
-  /// journaling cell by cell buys no extra crash safety and costs one fsync
-  /// per cell.  Thread-safe.
+  /// Append a whole finished session as one block — reset marker, every
+  /// row, done marker — with a single fsync (the write-ahead guarantee: a
+  /// session acknowledged here survives a crash).  The reset marker
+  /// invalidates every earlier row of the session, so a re-run never
+  /// double-counts.  The session is the resume unit, so journaling cell by
+  /// cell would buy no extra crash safety.  Thread-safe.
   void append_session_block(const std::string& dataset_id, const std::string& platform,
                             const std::vector<Measurement>& rows);
 
@@ -87,8 +78,6 @@ class CellJournal {
   static void remove(const std::string& path);
 
  private:
-  void write_line(const std::string& line);
-
   std::string path_;
   FILE* file_ = nullptr;
   mutable std::mutex mu_;

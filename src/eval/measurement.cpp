@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -158,11 +159,8 @@ std::string measurement_row_to_tsv(const Measurement& m) {
 
 Measurement measurement_row_from_tsv(const std::string& line, const std::string& context) {
   const auto fields = split_tabs(line);
-  // v1 caches have 12 columns (no status); v2 append a status column; v3
-  // insert a psec (predict CPU seconds) column between sec and sig.
-  if (fields.size() != 12 && fields.size() != 13 && fields.size() != 14) {
-    throw std::runtime_error("MeasurementTable: " + context +
-                             ": expected 12, 13 or 14 columns, got " +
+  if (fields.size() != 14) {
+    throw std::runtime_error("MeasurementTable: " + context + ": expected 14 columns, got " +
                              std::to_string(fields.size()));
   }
   Measurement m;
@@ -178,19 +176,13 @@ Measurement measurement_row_from_tsv(const std::string& line, const std::string&
   m.test.recall = parse_double_field(context, "rec", fields[9]);
   m.train_seconds =
       fields[10].empty() ? 0.0 : parse_double_field(context, "sec", fields[10]);
-  std::size_t next = 11;
-  if (fields.size() == 14) {
-    m.predict_seconds =
-        fields[11].empty() ? 0.0 : parse_double_field(context, "psec", fields[11]);
-    next = 12;
-  }
-  m.label_signature = fields[next];
-  if (fields.size() >= 13) {
-    const std::string& status = fields[next + 1];
-    if (status != "ok" && !status.empty()) {
-      m.ok = false;
-      m.failure = status;
-    }
+  m.predict_seconds =
+      fields[11].empty() ? 0.0 : parse_double_field(context, "psec", fields[11]);
+  m.label_signature = fields[12];
+  const std::string& status = fields[13];
+  if (status != "ok" && !status.empty()) {
+    m.ok = false;
+    m.failure = status;
   }
   return m;
 }
@@ -212,7 +204,7 @@ MeasurementTable MeasurementTable::load_csv(const std::string& path,
   MeasurementTable table;
   std::string line;
   std::size_t line_no = 0;
-  // Optional '# fingerprint' line, then the column header.
+  // Optional '# fingerprint' line, then exactly the column header.
   if (!std::getline(in, line)) {
     throw std::runtime_error("MeasurementTable: " + path + ": empty file");
   }
@@ -223,8 +215,12 @@ MeasurementTable MeasurementTable::load_csv(const std::string& path,
     if (fingerprint != nullptr && first != std::string::npos) {
       *fingerprint = fp.substr(first);
     }
-    std::getline(in, line);  // consume the column header
+    std::getline(in, line);  // at EOF: empty or still the '#' line, both rejected
     ++line_no;
+  }
+  if (line != kCsvHeader) {
+    throw std::runtime_error("MeasurementTable: " + path + ":" + std::to_string(line_no) +
+                             ": expected the column header");
   }
   while (std::getline(in, line)) {
     ++line_no;
@@ -268,8 +264,6 @@ ServiceQuota CampaignOptions::quota_for(const std::string& platform,
 RetryPolicy CampaignOptions::retry_policy(std::uint64_t session_seed) const {
   RetryPolicy policy;
   policy.max_attempts = retry_budget;
-  policy.initial_backoff_seconds = initial_backoff_seconds;
-  policy.max_backoff_seconds = max_backoff_seconds;
   policy.jitter = jitter;
   policy.jitter_seed = session_seed;
   return policy;
@@ -320,17 +314,8 @@ constexpr const char* kReportHeader =
     "transient_errors\tserver_errors\tunavailable\tretries\tbreaker_trips\tbackoff_sec\t"
     "outage_sec\tsimulated_sec\ttrain_cpu_sec\tpredict_cpu_sec\tfailures";
 
-// Pre-predict_cpu_sec header (22 columns); still loadable so existing report
-// sidecars survive the format bump.
-constexpr const char* kReportHeaderV1 =
-    "platform\tcells_total\tcells_ok\tcells_failed\tcells_rejected\tcells_deferred\t"
-    "cells_restored\trequests\tuploads\ttrainings\tpredictions\trate_limited\t"
-    "transient_errors\tserver_errors\tunavailable\tretries\tbreaker_trips\tbackoff_sec\t"
-    "outage_sec\tsimulated_sec\ttrain_cpu_sec\tfailures";
-
 // Scheduler telemetry rides along as a marked trailer line so the platform
-// table keeps its fixed 22-column shape (older sidecars without the trailer
-// still load).
+// table keeps its fixed 23-column shape.
 constexpr const char* kSchedulerPrefix = "# scheduler\t";
 
 // Trace summary trailer of a traced campaign; absent entirely when tracing
@@ -377,40 +362,6 @@ void write_scheduler_row(std::ostream& out, const SchedulerStats& s) {
       << "\tmakespan_sec=" << s.makespan_seconds << "\tbusy_sec=" << s.busy_seconds()
       << "\timbalance=" << s.imbalance()
       << "\tworker_busy_sec=" << encode_worker_busy(s.worker_busy_seconds) << '\n';
-}
-
-bool parse_scheduler_row(const std::string& line, SchedulerStats* s) {
-  std::istringstream fields(line.substr(std::string(kSchedulerPrefix).size()));
-  std::string field;
-  try {
-    while (std::getline(fields, field, '\t')) {
-      const std::size_t eq = field.find('=');
-      if (eq == std::string::npos) return false;
-      const std::string key = field.substr(0, eq);
-      const std::string value = field.substr(eq + 1);
-      if (key == "schedule") {
-        s->schedule = value;
-      } else if (key == "workers") {
-        s->workers = std::stoull(value);
-      } else if (key == "sessions") {
-        s->sessions = std::stoull(value);
-      } else if (key == "stolen") {
-        s->sessions_stolen = std::stoull(value);
-      } else if (key == "makespan_sec") {
-        s->makespan_seconds = std::stod(value);
-      } else if (key == "worker_busy_sec" && value != "-") {
-        std::istringstream parts(value);
-        std::string part;
-        while (std::getline(parts, part, ';')) {
-          s->worker_busy_seconds.push_back(std::stod(part));
-        }
-      }
-      // busy_sec / imbalance are derived on write; ignored on read.
-    }
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -483,70 +434,6 @@ void CampaignReport::save_json(const std::string& path) const {
       << ", \"coverage\": " << total.coverage()
       << ", \"simulated_seconds\": " << total.simulated_seconds << "}\n}\n";
   finish_sidecar(out, path, "CampaignReport");
-}
-
-std::optional<CampaignReport> CampaignReport::load_tsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
-  if (line != kReportHeader && line != kReportHeaderV1) return std::nullopt;
-  CampaignReport report;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line.rfind(kSchedulerPrefix, 0) == 0) {
-      if (!parse_scheduler_row(line, &report.scheduler)) return std::nullopt;
-      continue;
-    }
-    if (line.rfind(kTracePrefix, 0) == 0) {
-      report.trace_summary = line.substr(std::string(kTracePrefix).size());
-      continue;
-    }
-    const auto fields = split_tabs(line);
-    if (fields.size() != 22 && fields.size() != 23) return std::nullopt;
-    try {
-      PlatformCampaignStats p;
-      p.platform = fields[0];
-      p.cells_total = std::stoull(fields[1]);
-      p.cells_ok = std::stoull(fields[2]);
-      p.cells_failed = std::stoull(fields[3]);
-      p.cells_rejected = std::stoull(fields[4]);
-      p.cells_deferred = std::stoull(fields[5]);
-      p.cells_restored = std::stoull(fields[6]);
-      p.service.requests = std::stoull(fields[7]);
-      p.service.uploads = std::stoull(fields[8]);
-      p.service.trainings = std::stoull(fields[9]);
-      p.service.predictions = std::stoull(fields[10]);
-      p.service.rate_limited = std::stoull(fields[11]);
-      p.service.transient_errors = std::stoull(fields[12]);
-      p.service.server_errors = std::stoull(fields[13]);
-      p.service.unavailable = std::stoull(fields[14]);
-      p.retries = std::stoull(fields[15]);
-      p.breaker_trips = std::stoull(fields[16]);
-      p.backoff_seconds = std::stod(fields[17]);
-      p.outage_seconds = std::stod(fields[18]);
-      p.simulated_seconds = std::stod(fields[19]);
-      p.service.train_cpu_seconds = std::stod(fields[20]);
-      std::size_t next = 21;
-      if (fields.size() == 23) {
-        p.service.predict_cpu_seconds = std::stod(fields[21]);
-        next = 22;
-      }
-      if (fields[next] != "-") {
-        std::istringstream fs(fields[next]);
-        std::string item;
-        while (std::getline(fs, item, ';')) {
-          const std::size_t eq = item.find('=');
-          if (eq == std::string::npos) return std::nullopt;
-          p.failures_by_status[item.substr(0, eq)] = std::stoull(item.substr(eq + 1));
-        }
-      }
-      report.platforms.push_back(std::move(p));
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
-  return report;
 }
 
 std::vector<PipelineConfig> enumerate_configs(const Platform& platform,
@@ -1132,6 +1019,23 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
   return result;
 }
 
+namespace {
+
+/// A knob value as fingerprint text: the default 6 significant digits when
+/// they read back as `v` (the bytes of every existing fingerprint), else 17,
+/// so two values that differ never share a fingerprint.
+std::string fingerprint_number(double v) {
+  std::ostringstream os;
+  os << v;
+  if (std::strtod(os.str().c_str(), nullptr) == v) return os.str();
+  os.str("");
+  os.precision(17);
+  os << v;
+  return os.str();
+}
+
+}  // namespace
+
 std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
                                     const std::vector<PlatformPtr>& platforms,
                                     const MeasurementOptions& options) {
@@ -1141,10 +1045,10 @@ std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
     if (i > 0) os << ',';
     os << platforms[i]->name();
   }
-  os << " seed=" << options.seed << " scale=" << options.scale
+  os << " seed=" << options.seed << " scale=" << fingerprint_number(options.scale)
      << " para=" << options.max_para_configs << " joint=" << options.joint_sample
-     << " test_fraction=" << options.test_fraction
-     << " fault=" << options.campaign.fault_rate
+     << " test_fraction=" << fingerprint_number(options.test_fraction)
+     << " fault=" << fingerprint_number(options.campaign.fault_rate)
      << " profile=" << options.campaign.quota_profile
      << " retries=" << options.campaign.retry_budget;
   // Resilience knobs that change measured rows invalidate caches and
@@ -1155,14 +1059,11 @@ std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
   }
   if (options.campaign.breaker.enabled) {
     os << " breaker=" << options.campaign.breaker.failure_threshold << '/'
-       << options.campaign.breaker.cooldown_seconds << '/'
+       << fingerprint_number(options.campaign.breaker.cooldown_seconds) << '/'
        << options.campaign.breaker.max_probes;
   }
   if (options.campaign.jitter) {
     os << " jitter=1";
-  }
-  if (options.campaign.max_backoff_seconds != 120.0) {
-    os << " max_backoff=" << options.campaign.max_backoff_seconds;
   }
   return os.str();
 }
@@ -1170,8 +1071,7 @@ std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
 MeasurementTable run_or_load(const std::vector<Dataset>& corpus,
                              const std::vector<PlatformPtr>& platforms,
                              const MeasurementOptions& options_in,
-                             const std::string& cache_path,
-                             CampaignReport* report) {
+                             const std::string& cache_path) {
   // Cached campaigns journal beside their cache by default, so a crashed
   // run resumes on the next invocation instead of starting over.
   MeasurementOptions options = options_in;
@@ -1190,14 +1090,7 @@ MeasurementTable run_or_load(const std::vector<Dataset>& corpus,
         // truncated right after its header: the fingerprint alone is not
         // proof of a complete file.
         const bool plausible = table.size() > 0 || corpus.empty() || platforms.empty();
-        if (found == expected && plausible) {
-          if (report != nullptr) {
-            if (auto loaded = CampaignReport::load_tsv(cache_path + ".campaign.tsv")) {
-              *report = std::move(*loaded);
-            }
-          }
-          return table;
-        }
+        if (found == expected && plausible) return table;
         if (options.verbose) {
           std::cerr << "[measure] cache " << cache_path
                     << " has a stale fingerprint; re-running the campaign\n";
@@ -1221,7 +1114,6 @@ MeasurementTable run_or_load(const std::vector<Dataset>& corpus,
   } catch (const std::exception& e) {
     std::cerr << "[measure] could not write campaign report: " << e.what() << "\n";
   }
-  if (report != nullptr) *report = std::move(result.report);
   return result.table;
 }
 

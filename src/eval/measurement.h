@@ -106,9 +106,10 @@ class MeasurementTable {
   /// Write the table; a non-empty `fingerprint` is stored as a '#' header
   /// line so run_or_load can reject stale caches.
   void save_csv(const std::string& path, const std::string& fingerprint = "") const;
-  /// Load a table, validating the column count of every row; malformed rows
-  /// raise std::runtime_error naming the offending line.  When the file
-  /// carries a fingerprint header it is returned via `fingerprint` (empty
+  /// Load a table written by save_csv: an optional '# fingerprint' line, the
+  /// exact column header, then rows.  A missing or different header and a
+  /// malformed row raise std::runtime_error naming path:line.  When the file
+  /// carries a fingerprint line it is returned via `fingerprint` (empty
   /// otherwise).
   static MeasurementTable load_csv(const std::string& path,
                                    std::string* fingerprint = nullptr);
@@ -117,9 +118,9 @@ class MeasurementTable {
   std::vector<Measurement> rows_;
 };
 
-/// Serialize/parse one measurement row in the cache-v2 TSV scheme (13
-/// tab-separated columns, status last).  Shared by the CSV cache and the
-/// write-ahead cell journal so both stay byte-compatible.
+/// Serialize/parse one measurement row: 14 tab-separated columns, status
+/// last.  Shared by the CSV cache and the write-ahead cell journal so both
+/// stay byte-compatible.
 std::string measurement_row_to_tsv(const Measurement& m);
 /// `context` names the source (path:line) in parse errors.
 Measurement measurement_row_from_tsv(const std::string& line, const std::string& context);
@@ -141,9 +142,6 @@ struct CampaignOptions {
   std::string quota_profile = "default";
   /// Max attempts per request before the cell is recorded as failed.
   int retry_budget = 6;
-  double initial_backoff_seconds = 1.0;
-  /// Cap on the exponential backoff component (see RetryPolicy).
-  double max_backoff_seconds = 120.0;
   /// Decorrelated retry jitter (seeded per session; off keeps the campaign
   /// bit-identical to the pure-exponential schedule).
   bool jitter = false;
@@ -293,11 +291,9 @@ struct CampaignReport {
   /// registry in canonical (roster, field-declaration) order.
   MetricsRegistry metrics() const;
 
+  /// Write-only sidecars: nothing in the library reads a report back.
   void save_tsv(const std::string& path) const;
   void save_json(const std::string& path) const;
-  /// Reload a report written by save_tsv (used on measurement-cache hits);
-  /// nullopt when the file is missing or malformed.
-  static std::optional<CampaignReport> load_tsv(const std::string& path);
 };
 
 /// The configuration set measured for one platform (§3.2): the baseline, all
@@ -355,13 +351,12 @@ std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
 /// Cache wrapper: load `cache_path` when present, readable and carrying a
 /// matching fingerprint; otherwise run the campaign and save the table plus
 /// its telemetry sidecars (cache_path + ".campaign.tsv" / ".campaign.json").
-/// `report`, when non-null, receives the campaign telemetry (reloaded from
-/// the sidecar on cache hits when available).
+/// The sidecars are written after a fresh run only; a cache hit leaves them
+/// untouched.
 MeasurementTable run_or_load(const std::vector<Dataset>& corpus,
                              const std::vector<PlatformPtr>& platforms,
                              const MeasurementOptions& options,
-                             const std::string& cache_path,
-                             CampaignReport* report = nullptr);
+                             const std::string& cache_path);
 
 /// Default cache path for a seed/scale pair (shared by all bench binaries).
 std::string default_cache_path(std::uint64_t seed, double scale);

@@ -347,15 +347,6 @@ std::shared_ptr<const TrainedModel> MlaasService::model(const std::string& handl
   return it == models_.end() ? nullptr : it->second;
 }
 
-RetryingClient::RetryingClient(MlaasService& service, int max_attempts,
-                               double initial_backoff_seconds)
-    : RetryingClient(service, [&] {
-        RetryPolicy p;
-        p.max_attempts = max_attempts;
-        p.initial_backoff_seconds = initial_backoff_seconds;
-        return p;
-      }()) {}
-
 RetryingClient::RetryingClient(MlaasService& service, const RetryPolicy& policy)
     : service_(service),
       policy_(policy),
@@ -370,7 +361,6 @@ ServiceStatus RetryingClient::with_retries(const std::function<ServiceStatus()>&
   double backoff = policy_.initial_backoff_seconds;
   double prev_sleep = policy_.initial_backoff_seconds;
   ServiceStatus status = ServiceStatus::kOk;
-  deadline_limited_ = false;
   for (int attempt = 0; attempt < policy_.max_attempts; ++attempt) {
     status = call();
     if (!is_retryable(status)) return status;  // success or permanent failure
@@ -404,7 +394,6 @@ ServiceStatus RetryingClient::with_retries(const std::function<ServiceStatus()>&
       // The sleep would overrun the caller's deadline budget: stop retrying
       // and report the last retryable status now, rather than resolving the
       // request after its deadline has already passed.
-      deadline_limited_ = true;
       ++deadline_refusals_;
       if (trace_ != nullptr) {
         trace_->instant("retry", "deadline-refused", service_.now(),
@@ -449,32 +438,6 @@ ServiceStatus RetryingClient::predict(const std::string& model_handle, const Mat
   return with_retries(
       [&] { return service_.predict(model_handle, x, labels, predict_cpu_seconds); },
       deadline);
-}
-
-std::optional<std::vector<int>> RetryingClient::train_and_predict(
-    const Dataset& train, const PipelineConfig& config, const Matrix& query) {
-  // Both intermediate handles are scope-guarded: a mid-sequence failure (or
-  // an exception out of predict) used to leak the uploaded dataset — and the
-  // trained model — into the service's maps for the service's lifetime.
-  std::string dataset_handle;
-  std::string model_handle;
-  struct HandleGuard {
-    MlaasService& service;
-    const std::string& dataset;
-    const std::string& model;
-    ~HandleGuard() {
-      if (!dataset.empty()) service.delete_dataset(dataset);
-      if (!model.empty()) service.delete_model(model);
-    }
-  } guard{service_, dataset_handle, model_handle};
-
-  if (upload(train, &dataset_handle) != ServiceStatus::kOk) return std::nullopt;
-  if (this->train(dataset_handle, config, &model_handle) != ServiceStatus::kOk) {
-    return std::nullopt;
-  }
-  std::vector<int> labels;
-  if (predict(model_handle, query, &labels) != ServiceStatus::kOk) return std::nullopt;
-  return labels;
 }
 
 }  // namespace mlaas

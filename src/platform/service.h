@@ -298,12 +298,10 @@ inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 /// service clock.  A sleep (backoff or Retry-After stall) that would overrun
 /// the deadline is refused — the call returns the last retryable status
 /// immediately instead of sleeping past the budget, and the refusal is
-/// visible via deadline_limited()/deadline_refusals().  With kNoDeadline the
-/// schedule is bit-identical to the pre-deadline client.
+/// counted by deadline_refusals().  With kNoDeadline the schedule is
+/// bit-identical to the pre-deadline client.
 class RetryingClient {
  public:
-  explicit RetryingClient(MlaasService& service, int max_attempts = 6,
-                          double initial_backoff_seconds = 1.0);
   RetryingClient(MlaasService& service, const RetryPolicy& policy);
 
   /// Step-wise calls with retries, used by the measurement campaign and the
@@ -320,21 +318,9 @@ class RetryingClient {
                         double* predict_cpu_seconds = nullptr,
                         double deadline = kNoDeadline);
 
-  /// Convenience end-to-end call: upload + train + predict with retries.
-  /// Returns labels, or nullopt if any step exhausted its retries or hit a
-  /// permanent error.  The intermediate dataset/model handles are released
-  /// on every exit path — success, mid-sequence failure or exception — so
-  /// repeated calls hold the service's handle maps at steady state.
-  std::optional<std::vector<int>> train_and_predict(const Dataset& train,
-                                                    const PipelineConfig& config,
-                                                    const Matrix& query);
-
   std::size_t total_retries() const { return retries_; }
   /// Total simulated seconds spent sleeping (backoff + rate-limit stalls).
   double total_backoff_seconds() const { return backoff_seconds_; }
-  /// Whether the most recent call stopped retrying because a sleep would
-  /// have overrun its deadline.
-  bool deadline_limited() const { return deadline_limited_; }
   /// Sleeps refused across the client's lifetime (deadline overruns avoided).
   std::size_t deadline_refusals() const { return deadline_refusals_; }
 
@@ -352,7 +338,6 @@ class RetryingClient {
   TraceTrack* trace_ = nullptr;
   std::size_t retries_ = 0;
   double backoff_seconds_ = 0.0;
-  bool deadline_limited_ = false;
   std::size_t deadline_refusals_ = 0;
 };
 

@@ -404,7 +404,6 @@ class QueryRouter {
 
   enum class FlushCause { kFull, kLinger, kDeadline, kForced };
 
-  PlatformState& state_for(std::size_t platform) { return platforms_[platform]; }
   /// When a batch falls due: its linger deadline or its tightest member
   /// budget, whichever comes first.
   static double due_at(const Batch& batch);

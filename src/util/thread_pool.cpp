@@ -20,23 +20,6 @@ thread_local std::size_t tls_worker_index = 0;
 
 }  // namespace
 
-double ParallelStats::total_busy_seconds() const {
-  double total = 0.0;
-  for (double b : busy_seconds) total += b;
-  return total;
-}
-
-double ParallelStats::imbalance() const {
-  if (busy_seconds.empty()) return 1.0;
-  double max_busy = 0.0, total = 0.0;
-  for (double b : busy_seconds) {
-    max_busy = std::max(max_busy, b);
-    total += b;
-  }
-  const double mean = total / static_cast<double>(busy_seconds.size());
-  return mean > 0.0 ? max_busy / mean : 1.0;
-}
-
 ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads > kMaxThreads) {
     throw std::invalid_argument("ThreadPool: " + std::to_string(n_threads) +

@@ -40,11 +40,6 @@ struct ParallelStats {
   std::size_t stolen = 0;
   /// Wall seconds of the whole dispatch (submission to last completion).
   double makespan_seconds = 0.0;
-
-  double total_busy_seconds() const;
-  /// max(worker busy) / mean(worker busy); 1.0 = perfectly balanced.
-  /// Returns 1.0 when no worker did any work.
-  double imbalance() const;
 };
 
 class ThreadPool {

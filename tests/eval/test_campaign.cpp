@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "data/generators.h"
 #include "data/split.h"
@@ -40,6 +41,25 @@ std::vector<PlatformPtr> small_roster() {
   platforms.push_back(make_platform("PredictionIO"));
   return platforms;
 }
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+std::vector<std::string> split_fields(const std::string& line, char sep) {
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  for (std::size_t end; (end = line.find(sep, start)) != std::string::npos; start = end + 1) {
+    fields.push_back(line.substr(start, end - start));
+  }
+  fields.push_back(line.substr(start));
+  return fields;
+}
+
+constexpr const char* kCsvHeader14 =
+    "dataset\tplatform\tfeat\tclf\tparams\tdefault\tf\tacc\tprec\trec\tsec\tpsec\tsig\t"
+    "status\n";
 
 TEST(RunCampaign, ZeroFaultRateMatchesDirectRunner) {
   const auto corpus = tiny_corpus();
@@ -195,7 +215,7 @@ TEST(RunCampaign, StrictProfileStallsButCompletes) {
   EXPECT_DOUBLE_EQ(result.report.coverage(), 1.0);
 }
 
-TEST(CampaignReport, TsvRoundTripAndJsonWritten) {
+TEST(CampaignReport, TsvRowsMatchTheReportAndJsonWritten) {
   MeasurementOptions options = fast_options();
   options.campaign.fault_rate = 0.5;
   options.campaign.retry_budget = 2;
@@ -204,28 +224,100 @@ TEST(CampaignReport, TsvRoundTripAndJsonWritten) {
   const std::string json = ::testing::TempDir() + "/campaign_report.json";
   result.report.save_tsv(tsv);
   result.report.save_json(json);
-  const auto loaded = CampaignReport::load_tsv(tsv);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->platforms.size(), result.report.platforms.size());
-  for (std::size_t i = 0; i < loaded->platforms.size(); ++i) {
-    const auto& a = result.report.platforms[i];
-    const auto& b = loaded->platforms[i];
-    EXPECT_EQ(a.platform, b.platform);
-    EXPECT_EQ(a.cells_ok, b.cells_ok);
-    EXPECT_EQ(a.cells_failed, b.cells_failed);
-    EXPECT_EQ(a.service.requests, b.service.requests);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.failures_by_status, b.failures_by_status);
-    EXPECT_NEAR(a.simulated_seconds, b.simulated_seconds, 1e-6);
+  // Header, one 23-column row per platform in roster order, the scheduler
+  // trailer; each row carries its platform's counters and failure breakdown.
+  const auto lines = split_fields(read_file(tsv), '\n');
+  ASSERT_EQ(lines.size(), result.report.platforms.size() + 3);  // + trailing ""
+  EXPECT_EQ(lines[0].rfind("platform\tcells_total\t", 0), 0u) << lines[0];
+  bool any_failure = false;
+  for (std::size_t i = 0; i < result.report.platforms.size(); ++i) {
+    const auto& p = result.report.platforms[i];
+    const auto fields = split_fields(lines[i + 1], '\t');
+    ASSERT_EQ(fields.size(), 23u) << lines[i + 1];
+    EXPECT_EQ(fields[0], p.platform);
+    EXPECT_EQ(fields[2], std::to_string(p.cells_ok));
+    EXPECT_EQ(fields[3], std::to_string(p.cells_failed));
+    EXPECT_EQ(fields[7], std::to_string(p.service.requests));
+    EXPECT_EQ(fields[15], std::to_string(p.retries));
+    std::string failures;
+    for (const auto& [status, count] : p.failures_by_status) {
+      failures += (failures.empty() ? "" : ";") + status + "=" + std::to_string(count);
+    }
+    EXPECT_EQ(fields[22], failures.empty() ? "-" : failures);
+    any_failure = any_failure || !failures.empty();
   }
-  std::ifstream jin(json);
-  ASSERT_TRUE(jin.good());
-  std::string text((std::istreambuf_iterator<char>(jin)),
-                   std::istreambuf_iterator<char>());
+  EXPECT_TRUE(any_failure) << "a 0.5 fault rate with 2 attempts must fail some cells";
+  EXPECT_EQ(lines[lines.size() - 2].rfind("# scheduler\tschedule=dynamic\tworkers=2\t", 0), 0u);
+  const std::string text = read_file(json);
   EXPECT_NE(text.find("\"platforms\""), std::string::npos);
   EXPECT_NE(text.find("\"coverage\""), std::string::npos);
   std::remove(tsv.c_str());
   std::remove(json.c_str());
+}
+
+TEST(CampaignReport, SaveTsvBytesArePinned) {
+  CampaignReport report;
+  PlatformCampaignStats local;
+  local.platform = "Local";
+  local.cells_total = 10;
+  local.cells_ok = 7;
+  local.cells_failed = 2;
+  local.cells_rejected = 1;
+  local.cells_restored = 3;
+  local.service.requests = 25;
+  local.service.uploads = 1;
+  local.service.trainings = 9;
+  local.service.predictions = 700;
+  local.service.rate_limited = 4;
+  local.service.transient_errors = 2;
+  local.service.server_errors = 1;
+  local.service.train_cpu_seconds = 0.125;
+  local.service.predict_cpu_seconds = 0.0625;
+  local.retries = 6;
+  local.backoff_seconds = 12.5;
+  local.simulated_seconds = 345.25;
+  local.failures_by_status = {{"train:quota-exhausted", 1}, {"predict:transient-error", 1}};
+  PlatformCampaignStats google;
+  google.platform = "Google";
+  google.cells_total = 2;
+  google.cells_ok = 1;
+  google.cells_deferred = 1;
+  google.service.requests = 3;
+  google.service.uploads = 1;
+  google.service.trainings = 1;
+  google.service.predictions = 30;
+  google.service.unavailable = 2;
+  google.service.train_cpu_seconds = 0.01;
+  google.service.predict_cpu_seconds = 0.002;
+  google.retries = 2;
+  google.breaker_trips = 1;
+  google.backoff_seconds = 3.0;
+  google.outage_seconds = 120.0;
+  google.simulated_seconds = 1.0 / 3.0;
+  report.platforms = {local, google};
+  report.scheduler.schedule = "dynamic";
+  report.scheduler.workers = 2;
+  report.scheduler.sessions = 4;
+  report.scheduler.sessions_stolen = 1;
+  report.scheduler.makespan_seconds = 1.5;
+  report.scheduler.worker_busy_seconds = {1.25, 0.75};
+  report.trace_summary = "tracks=4 spans=12 instants=3";
+  const std::string path = ::testing::TempDir() + "/campaign_report_pinned.tsv";
+  report.save_tsv(path);
+  EXPECT_EQ(read_file(path),
+            "platform\tcells_total\tcells_ok\tcells_failed\tcells_rejected\tcells_deferred\t"
+            "cells_restored\trequests\tuploads\ttrainings\tpredictions\trate_limited\t"
+            "transient_errors\tserver_errors\tunavailable\tretries\tbreaker_trips\t"
+            "backoff_sec\toutage_sec\tsimulated_sec\ttrain_cpu_sec\tpredict_cpu_sec\t"
+            "failures\n"
+            "Local\t10\t7\t2\t1\t0\t3\t25\t1\t9\t700\t4\t2\t1\t0\t6\t0\t12.5\t0\t345.25\t"
+            "0.125\t0.0625\tpredict:transient-error=1;train:quota-exhausted=1\n"
+            "Google\t2\t1\t0\t0\t1\t0\t3\t1\t1\t30\t0\t0\t0\t2\t2\t1\t3\t120\t"
+            "0.3333333333\t0.01\t0.002\t-\n"
+            "# scheduler\tschedule=dynamic\tworkers=2\tsessions=4\tstolen=1\tmakespan_sec=1.5\t"
+            "busy_sec=2\timbalance=1.25\tworker_busy_sec=1.25;0.75\n"
+            "# trace\ttracks=4 spans=12 instants=3\n");
+  std::remove(path.c_str());
 }
 
 TEST(RunOrLoad, FingerprintMismatchForcesRerun) {
@@ -235,11 +327,9 @@ TEST(RunOrLoad, FingerprintMismatchForcesRerun) {
   const auto corpus2 = tiny_corpus();
   const auto table2 = run_or_load(corpus2, platforms, fast_options(), path);
   EXPECT_EQ(table2.dataset_ids().size(), 2u);
-  // Same fingerprint: the cache is reused (and the sidecar report reloads).
-  CampaignReport cached_report;
-  const auto again = run_or_load(corpus2, platforms, fast_options(), path, &cached_report);
+  // Same fingerprint: the cache is reused.
+  const auto again = run_or_load(corpus2, platforms, fast_options(), path);
   EXPECT_EQ(again.size(), table2.size());
-  EXPECT_EQ(cached_report.platforms.size(), platforms.size());
   // Smaller corpus -> different fingerprint -> the stale cache (which has 2
   // datasets) must NOT be reused.
   std::vector<Dataset> corpus1;
@@ -294,9 +384,8 @@ TEST(MeasurementCsv, MalformedRowsThrowWithLineNumber) {
   const std::string path = ::testing::TempDir() + "/mlaas_malformed.tsv";
   {
     std::ofstream out(path);
-    out << "dataset\tplatform\tfeat\tclf\tparams\tdefault\tf\tacc\tprec\trec\tsec\tsig"
-           "\tstatus\n";
-    out << "d1\tLocal\tnone\tmlp\t\t1\t0.9\t0.8\t0.7\t0.6\t0.1\t01\tok\n";
+    out << kCsvHeader14;
+    out << "d1\tLocal\tnone\tmlp\t\t1\t0.9\t0.8\t0.7\t0.6\t0.1\t0.05\t01\tok\n";
     out << "d1\tLocal\tshort\n";  // truncated row
   }
   try {
@@ -312,9 +401,8 @@ TEST(MeasurementCsv, NonNumericFieldThrowsWithLineNumber) {
   const std::string path = ::testing::TempDir() + "/mlaas_badnum.tsv";
   {
     std::ofstream out(path);
-    out << "dataset\tplatform\tfeat\tclf\tparams\tdefault\tf\tacc\tprec\trec\tsec\tsig"
-           "\tstatus\n";
-    out << "d1\tLocal\tnone\tmlp\t\t1\tnot-a-number\t0.8\t0.7\t0.6\t0.1\t01\tok\n";
+    out << kCsvHeader14;
+    out << "d1\tLocal\tnone\tmlp\t\t1\tnot-a-number\t0.8\t0.7\t0.6\t0.1\t0.05\t01\tok\n";
   }
   try {
     MeasurementTable::load_csv(path);
@@ -323,6 +411,28 @@ TEST(MeasurementCsv, NonNumericFieldThrowsWithLineNumber) {
     const std::string what = e.what();
     EXPECT_NE(what.find(":2"), std::string::npos) << what;
     EXPECT_NE(what.find("'f'"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MeasurementCsv, HeaderMustMatch) {
+  // The line after the fingerprint must be the exact column header: a
+  // missing header used to swallow the first row, and a pre-psec
+  // (13-column) cache used to load with every predict_seconds zeroed.
+  const std::string path = ::testing::TempDir() + "/mlaas_header.tsv";
+  const std::string row = "d1\tLocal\tnone\tmlp\t\t1\t0.9\t0.8\t0.7\t0.6\t0.1\t0.05\t01\tok\n";
+  const std::string headerless = "# fp\n" + row + row;
+  const std::string pre_psec =
+      "# fp\ndataset\tplatform\tfeat\tclf\tparams\tdefault\tf\tacc\tprec\trec\tsec\tsig"
+      "\tstatus\nd1\tLocal\tnone\tmlp\t\t1\t0.9\t0.8\t0.7\t0.6\t0.1\t01\tok\n";
+  for (const std::string& content : {headerless, pre_psec}) {
+    std::ofstream(path) << content;
+    try {
+      MeasurementTable::load_csv(path);
+      ADD_FAILURE() << "expected a header error for:\n" << content;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":2"), std::string::npos) << e.what();
+    }
   }
   std::remove(path.c_str());
 }

@@ -1,5 +1,7 @@
 // The write-ahead cell journal: round-trips, fingerprint gating, reset
-// markers, torn tails, and end-to-end crash-resume equivalence.
+// markers, torn tails, and end-to-end crash-resume equivalence.  Crash
+// states are built the way a crash leaves them: whole session blocks from
+// append_session_block, plus raw bytes for whatever a crash cut short.
 #include "eval/journal.h"
 
 #include <gtest/gtest.h>
@@ -51,6 +53,11 @@ Measurement make_row(const std::string& dataset, const std::string& platform,
   return m;
 }
 
+/// Bytes a crash left behind after the last complete append.
+void append_raw(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::app) << bytes;
+}
+
 // Rows must match field-for-field except train_seconds, which is real
 // wall-clock and differs even between two uninterrupted runs.
 void expect_rows_equal(const Measurement& a, const Measurement& b) {
@@ -74,15 +81,15 @@ TEST(CellJournal, RoundTripsCompletedSessions) {
   std::remove(path.c_str());
   {
     CellJournal journal(path, "fp-v1", /*truncate=*/true);
-    journal.append_session_reset("d1", "Google");
-    journal.append_cell(make_row("d1", "Google", "knn", 0.91));
-    journal.append_cell(make_row("d1", "Google", "mlp", 0.87));
-    journal.append_session_done("d1", "Google");
-    // Second session never finishes: rows must be discarded on load.
-    journal.append_session_reset("d2", "Google");
-    journal.append_cell(make_row("d2", "Google", "knn", 0.5));
-    EXPECT_EQ(journal.cells_journaled(), 3u);
+    journal.append_session_block("d1", "Google",
+                                 {make_row("d1", "Google", "knn", 0.91),
+                                  make_row("d1", "Google", "mlp", 0.87)});
+    EXPECT_EQ(journal.cells_journaled(), 2u);
   }
+  // A torn block: the crash hit after the second session's reset marker and
+  // first row, before its done marker.  Its row must be discarded on load.
+  append_raw(path, "= reset\td2\tGoogle\n" +
+                       measurement_row_to_tsv(make_row("d2", "Google", "knn", 0.5)) + "\n");
   const auto restored = CellJournal::load(path, "fp-v1");
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->cells, 2u);
@@ -100,8 +107,7 @@ TEST(CellJournal, FingerprintMismatchRefusesToLoad) {
   const std::string path = ::testing::TempDir() + "/journal_fp.journal";
   {
     CellJournal journal(path, "fp-old", /*truncate=*/true);
-    journal.append_cell(make_row("d1", "Google", "knn", 0.9));
-    journal.append_session_done("d1", "Google");
+    journal.append_session_block("d1", "Google", {make_row("d1", "Google", "knn", 0.9)});
   }
   EXPECT_FALSE(CellJournal::load(path, "fp-new").has_value());
   EXPECT_TRUE(CellJournal::load(path, "fp-old").has_value());
@@ -113,14 +119,11 @@ TEST(CellJournal, ResetMarkerInvalidatesEarlierRows) {
   const std::string path = ::testing::TempDir() + "/journal_reset.journal";
   {
     CellJournal journal(path, "fp", /*truncate=*/true);
-    // A completed session from a crashed run...
-    journal.append_cell(make_row("d1", "Google", "knn", 0.9));
-    journal.append_session_done("d1", "Google");
-    // ...re-run live later (e.g. after --fresh was forced mid-way): the
-    // reset marker must drop the stale rows so nothing is double-counted.
-    journal.append_session_reset("d1", "Google");
-    journal.append_cell(make_row("d1", "Google", "knn", 0.95));
-    journal.append_session_done("d1", "Google");
+    // A completed session from an earlier run, then the same session re-run
+    // (e.g. after --fresh was forced mid-way): the second block's reset
+    // marker must drop the stale rows so nothing is double-counted.
+    journal.append_session_block("d1", "Google", {make_row("d1", "Google", "knn", 0.9)});
+    journal.append_session_block("d1", "Google", {make_row("d1", "Google", "knn", 0.95)});
   }
   const auto restored = CellJournal::load(path, "fp");
   ASSERT_TRUE(restored.has_value());
@@ -136,13 +139,9 @@ TEST(CellJournal, TornTailIsDiscardedNotFatal) {
   const std::string path = ::testing::TempDir() + "/journal_torn.journal";
   {
     CellJournal journal(path, "fp", /*truncate=*/true);
-    journal.append_cell(make_row("d1", "Google", "knn", 0.9));
-    journal.append_session_done("d1", "Google");
+    journal.append_session_block("d1", "Google", {make_row("d1", "Google", "knn", 0.9)});
   }
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "d2\tGoogle\ttrunc";  // the torn tail of a crashed append
-  }
+  append_raw(path, "d2\tGoogle\ttrunc");  // the torn tail of a crashed append
   const auto restored = CellJournal::load(path, "fp");
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->cells, 1u);

@@ -178,6 +178,34 @@ TEST(MeasurementTable, CsvRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(MeasurementFingerprint, DistinguishesValuesBeyondSixDigits) {
+  // Knob values equal to 6 significant digits used to share a fingerprint,
+  // so a cache or journal measured under one was served for the other.
+  const auto platforms = make_all_platforms();
+  const auto fingerprint = [&](const MeasurementOptions& options) {
+    return measurement_fingerprint({}, platforms, options);
+  };
+  MeasurementOptions a, b;
+  a.campaign.fault_rate = 0.1;
+  b.campaign.fault_rate = 0.1000001;
+  EXPECT_NE(fingerprint(a), fingerprint(b));
+  EXPECT_NE(fingerprint(a).find(" fault=0.1 "), std::string::npos) << fingerprint(a);
+  a = b = MeasurementOptions{};
+  a.scale = 0.3333333;
+  b.scale = 0.33333334;
+  EXPECT_NE(fingerprint(a), fingerprint(b));
+  a = b = MeasurementOptions{};
+  a.test_fraction = 0.3;
+  b.test_fraction = 0.30000001;
+  EXPECT_NE(fingerprint(a), fingerprint(b));
+  a = b = MeasurementOptions{};
+  a.campaign.breaker.enabled = b.campaign.breaker.enabled = true;
+  a.campaign.breaker.cooldown_seconds = 90.5;
+  b.campaign.breaker.cooldown_seconds = 90.500001;
+  EXPECT_NE(fingerprint(a), fingerprint(b));
+  EXPECT_NE(fingerprint(a).find(" breaker=3/90.5/2"), std::string::npos) << fingerprint(a);
+}
+
 TEST(RunOrLoad, UsesCacheOnSecondCall) {
   std::vector<PlatformPtr> platforms;
   platforms.push_back(make_platform("Google"));

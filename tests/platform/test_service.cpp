@@ -17,6 +17,26 @@ MlaasService make_service(ServiceQuota quota = {}, const std::string& platform =
   return MlaasService(make_platform(platform), quota, seed);
 }
 
+RetryPolicy attempts(int max_attempts) {
+  RetryPolicy policy;
+  policy.max_attempts = max_attempts;
+  return policy;
+}
+
+/// Upload, train and predict through `client`, the campaign's sequence of
+/// retried calls; the labels, or nullopt once a step fails.
+std::optional<std::vector<int>> round_trip(RetryingClient& client, const Dataset& train,
+                                           const PipelineConfig& config = {}) {
+  std::string dataset, model;
+  std::vector<int> labels;
+  if (client.upload(train, &dataset) != ServiceStatus::kOk ||
+      client.train(dataset, config, &model) != ServiceStatus::kOk ||
+      client.predict(model, train.x(), &labels) != ServiceStatus::kOk) {
+    return std::nullopt;
+  }
+  return labels;
+}
+
 TEST(Service, EndToEndFlowWorks) {
   auto service = make_service();
   std::string ds, model;
@@ -108,9 +128,9 @@ TEST(RetryingClientTest, SucceedsDespiteTransientFaults) {
   ServiceQuota quota;
   quota.fault_rate = 0.4;
   auto service = make_service(quota, "Local", 11);
-  RetryingClient client(service, /*max_attempts=*/8);
+  RetryingClient client(service, attempts(8));
   const Dataset train = small_data(1);
-  const auto labels = client.train_and_predict(train, {}, train.x());
+  const auto labels = round_trip(client, train);
   ASSERT_TRUE(labels.has_value());
   EXPECT_GT(accuracy_score(train.y(), *labels), 0.8);
   EXPECT_GT(client.total_retries(), 0u);
@@ -121,9 +141,9 @@ TEST(RetryingClientTest, BacksOffThroughRateLimits) {
   quota.requests_per_window = 1;
   quota.window_seconds = 2.0;  // backoff (1s, 2s, ...) outlasts the window
   auto service = make_service(quota);
-  RetryingClient client(service, /*max_attempts=*/6);
+  RetryingClient client(service, attempts(6));
   const Dataset train = small_data(1);
-  const auto labels = client.train_and_predict(train, {}, train.x());
+  const auto labels = round_trip(client, train);
   ASSERT_TRUE(labels.has_value());
   EXPECT_GT(client.total_retries(), 0u);
 }
@@ -132,12 +152,12 @@ TEST(RetryingClientTest, PermanentErrorsAreNotRetried) {
   ServiceQuota quota;
   quota.max_training_jobs = 0;
   auto service = make_service(quota, "Amazon");
-  RetryingClient client(service);
+  RetryingClient client(service, RetryPolicy{});
   PipelineConfig bad;
   bad.classifier = "mlp";
   const Dataset train = small_data(1);
   const auto before = service.stats().requests;
-  EXPECT_FALSE(client.train_and_predict(train, bad, train.x()).has_value());
+  EXPECT_FALSE(round_trip(client, train, bad).has_value());
   // upload + exactly one train attempt (no retries of kBadRequest).
   EXPECT_EQ(service.stats().requests, before + 2);
 }
@@ -176,9 +196,9 @@ TEST(RetryingClientTest, RetryAfterHintAtExactExpiryAdmitsWithoutExtraAttempt) {
   quota.base_latency_seconds = 0.0;
   quota.per_sample_latency_seconds = 0.0;
   auto service = make_service(quota);
-  RetryingClient client(service, /*max_attempts=*/3);
+  RetryingClient client(service, attempts(3));
   const Dataset train = small_data(1);
-  const auto labels = client.train_and_predict(train, {}, train.x());
+  const auto labels = round_trip(client, train);
   ASSERT_TRUE(labels.has_value());
   // upload admits at t=0; train and predict each hit the full window once and
   // succeed on their first retry — no attempt wasted at the exact boundary.
@@ -240,68 +260,10 @@ TEST(Service, PlatformCrashBecomesServerErrorNotException) {
   EXPECT_EQ(service.last_error(), "backend fell over");
   EXPECT_EQ(service.stats().server_errors, 1u);
   // Permanent: the retrying client gives up immediately.
-  RetryingClient client(service, /*max_attempts=*/5);
+  RetryingClient client(service, attempts(5));
   const auto before = service.stats().requests;
   EXPECT_EQ(client.train(ds, {}, &model), ServiceStatus::kServerError);
   EXPECT_EQ(service.stats().requests, before + 1);
-}
-
-TEST(RetryingClientTest, TrainAndPredictReleasesHandlesOnSuccess) {
-  auto service = make_service();
-  RetryingClient client(service);
-  const Dataset train = small_data(1);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client.train_and_predict(train, {}, train.x()).has_value());
-    EXPECT_EQ(service.dataset_count(), 0u) << "iteration " << i;
-    EXPECT_EQ(service.model_count(), 0u) << "iteration " << i;
-  }
-  EXPECT_EQ(service.stats().datasets_deleted, 3u);
-  EXPECT_EQ(service.stats().models_deleted, 3u);
-}
-
-TEST(RetryingClientTest, TrainAndPredictReleasesDatasetWhenTrainFails) {
-  // Mid-sequence failure: upload succeeds, train explodes permanently.  The
-  // uploaded dataset must not be stranded in the service's handle map.
-  ExplodingPlatform exploding;
-  MlaasService service(exploding, ServiceQuota{}, /*seed=*/1);
-  RetryingClient client(service, /*max_attempts=*/3);
-  const Dataset train = small_data(1);
-  EXPECT_FALSE(client.train_and_predict(train, {}, train.x()).has_value());
-  EXPECT_EQ(service.dataset_count(), 0u);
-  EXPECT_EQ(service.model_count(), 0u);
-}
-
-TEST(RetryingClientTest, TrainAndPredictReleasesHandlesWhenPredictFails) {
-  // upload + train fit in the rate-limit window; predict does not, and the
-  // single-attempt budget cannot wait the window out.  Both intermediate
-  // handles must still be released.
-  ServiceQuota quota;
-  quota.requests_per_window = 2;
-  quota.window_seconds = 1e9;
-  auto service = make_service(quota);
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  RetryingClient client(service, policy);
-  const Dataset train = small_data(1);
-  EXPECT_FALSE(client.train_and_predict(train, {}, train.x()).has_value());
-  EXPECT_EQ(service.dataset_count(), 0u);
-  EXPECT_EQ(service.model_count(), 0u);
-  EXPECT_EQ(service.stats().datasets_deleted, 1u);
-  EXPECT_EQ(service.stats().models_deleted, 1u);
-}
-
-TEST(RetryingClientTest, TrainAndPredictReleasesNothingWhenUploadFails) {
-  ServiceQuota quota;
-  quota.fault_rate = 1.0;  // every admission fails transiently
-  auto service = make_service(quota, "Local", 5);
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  RetryingClient client(service, policy);
-  const Dataset train = small_data(1);
-  EXPECT_FALSE(client.train_and_predict(train, {}, train.x()).has_value());
-  EXPECT_EQ(service.dataset_count(), 0u);
-  EXPECT_EQ(service.stats().datasets_deleted, 0u);
-  EXPECT_EQ(service.stats().models_deleted, 0u);
 }
 
 TEST(Service, NonOwningConstructorSharesThePlatform) {
@@ -335,11 +297,11 @@ TEST(RetryingClientTest, LongWindowDoesNotExhaustTheBudget) {
   quota.requests_per_window = 2;
   quota.window_seconds = 3600.0;  // far beyond the exponential-backoff reach
   auto service = make_service(quota);
-  RetryingClient client(service, /*max_attempts=*/3);
+  RetryingClient client(service, attempts(3));
   const Dataset train = small_data(1);
   // upload + train fill the window; predict must wait the window out via the
   // Retry-After hint instead of burning all attempts on short backoffs.
-  const auto labels = client.train_and_predict(train, {}, train.x());
+  const auto labels = round_trip(client, train);
   ASSERT_TRUE(labels.has_value());
   EXPECT_GT(client.total_backoff_seconds(), 3000.0);
 }

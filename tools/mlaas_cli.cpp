@@ -306,11 +306,7 @@ int cmd_serve_bench(const CliFlags& flags) {
   options.serving.deadline_seconds = flags.double_or("deadline-ms", 0.0) / 1000.0;
   options.serving.fallback_platform = flags.get_or("fallback", "");
   options.serving.serve_last_known_good = flags.bool_or("last-known-good", false);
-  options.serving.breaker.enabled = flags.bool_or("breakers", false);
-  options.serving.breaker.failure_threshold =
-      static_cast<int>(flags.int_or("breaker-threshold", 3));
-  options.serving.breaker.cooldown_seconds = flags.double_or("breaker-cooldown", 300.0);
-  options.serving.breaker.max_probes = static_cast<int>(flags.int_or("breaker-probes", 2));
+  options.serving.breaker = breaker_options_from_flags(flags);
   const auto trace_out = flags.get("trace-out");
   options.serving.trace = trace_out.has_value();
   const long long n_tenants = flags.int_or("tenants", 6);

@@ -25,14 +25,14 @@ int int_flag(const CliFlags& flags, const std::string& name, int def, int min) {
                               ", " + std::to_string(INT_MAX) + "], got " + std::to_string(v));
 }
 
+}  // namespace
+
 std::string profile_or(const CliFlags& flags, const std::string& name,
                        const std::string& def, const std::vector<std::string>& known) {
   std::string value = flags.get_or(name, def);
   if (std::find(known.begin(), known.end(), value) != known.end()) return value;
   throw std::invalid_argument("--" + name + ": unknown profile '" + value + "'");
 }
-
-}  // namespace
 
 BreakerOptions breaker_options_from_flags(const CliFlags& flags) {
   BreakerOptions b;

@@ -37,6 +37,12 @@ namespace mlaas {
 /// `mlaas_cli serve-bench`.  Throws std::invalid_argument naming the flag.
 BreakerOptions breaker_options_from_flags(const CliFlags& flags);
 
+/// The value of profile flag `--name` (`def` when absent), checked against
+/// the `known` profile names; throws std::invalid_argument naming the flag.
+/// Shared by the campaign flags and `mlaas_cli serve-bench`.
+std::string profile_or(const CliFlags& flags, const std::string& name,
+                       const std::string& def, const std::vector<std::string>& known);
+
 struct StudyOptions {
   std::uint64_t seed = 42;
   double scale = 1.0;        // grid/corpus scaling knob (DESIGN.md)

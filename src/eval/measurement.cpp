@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -20,6 +21,7 @@
 #include "ml/tree/trainer.h"
 #include "util/clock.h"
 #include "util/io.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -269,6 +271,17 @@ RetryPolicy CampaignOptions::retry_policy(std::uint64_t session_seed) const {
   return policy;
 }
 
+void PlatformCampaignStats::count(const Measurement& m) {
+  if (m.ok) {
+    ++cells_ok;
+  } else if (m.deferred()) {
+    ++cells_deferred;
+  } else {
+    ++cells_failed;
+    ++failures_by_status[m.failure];
+  }
+}
+
 void PlatformCampaignStats::merge(const PlatformCampaignStats& other) {
   service.merge(other.service);
   merge_stats(*this, other);
@@ -292,35 +305,7 @@ PlatformCampaignStats CampaignReport::totals() const {
   return total;
 }
 
-MetricsRegistry CampaignReport::metrics() const {
-  MetricsRegistry registry;
-  for (const auto& p : platforms) {
-    const std::string prefix = "campaign." + p.platform + ".";
-    register_stats(registry, prefix, p);
-    register_stats(registry, prefix + "service.", p.service);
-    for (const auto& [status, count] : p.failures_by_status) {
-      registry.counter(prefix + "failure." + status) += static_cast<double>(count);
-    }
-  }
-  register_stats(registry, "scheduler.", scheduler);
-  return registry;
-}
-
 namespace {
-
-constexpr const char* kReportHeader =
-    "platform\tcells_total\tcells_ok\tcells_failed\tcells_rejected\tcells_deferred\t"
-    "cells_restored\trequests\tuploads\ttrainings\tpredictions\trate_limited\t"
-    "transient_errors\tserver_errors\tunavailable\tretries\tbreaker_trips\tbackoff_sec\t"
-    "outage_sec\tsimulated_sec\ttrain_cpu_sec\tpredict_cpu_sec\tfailures";
-
-// Scheduler telemetry rides along as a marked trailer line so the platform
-// table keeps its fixed 23-column shape.
-constexpr const char* kSchedulerPrefix = "# scheduler\t";
-
-// Trace summary trailer of a traced campaign; absent entirely when tracing
-// was off, so untraced sidecar bytes are unchanged from pre-trace builds.
-constexpr const char* kTracePrefix = "# trace\t";
 
 std::string encode_failures(const std::map<std::string, std::size_t>& failures) {
   if (failures.empty()) return "-";
@@ -330,19 +315,6 @@ std::string encode_failures(const std::map<std::string, std::size_t>& failures) 
     out += status + "=" + std::to_string(count);
   }
   return out;
-}
-
-void write_report_row(std::ostream& out, const PlatformCampaignStats& p) {
-  out << p.platform << '\t' << p.cells_total << '\t' << p.cells_ok << '\t'
-      << p.cells_failed << '\t' << p.cells_rejected << '\t' << p.cells_deferred << '\t'
-      << p.cells_restored << '\t' << p.service.requests << '\t' << p.service.uploads
-      << '\t' << p.service.trainings << '\t' << p.service.predictions << '\t'
-      << p.service.rate_limited << '\t' << p.service.transient_errors << '\t'
-      << p.service.server_errors << '\t' << p.service.unavailable << '\t' << p.retries
-      << '\t' << p.breaker_trips << '\t' << p.backoff_seconds << '\t' << p.outage_seconds
-      << '\t' << p.simulated_seconds << '\t' << p.service.train_cpu_seconds << '\t'
-      << p.service.predict_cpu_seconds << '\t' << encode_failures(p.failures_by_status)
-      << '\n';
 }
 
 std::string encode_worker_busy(const std::vector<double>& busy) {
@@ -356,84 +328,51 @@ std::string encode_worker_busy(const std::vector<double>& busy) {
   return out.str();
 }
 
-void write_scheduler_row(std::ostream& out, const SchedulerStats& s) {
-  out << kSchedulerPrefix << "schedule=" << s.schedule << "\tworkers=" << s.workers
-      << "\tsessions=" << s.sessions << "\tstolen=" << s.sessions_stolen
-      << "\tmakespan_sec=" << s.makespan_seconds << "\tbusy_sec=" << s.busy_seconds()
-      << "\timbalance=" << s.imbalance()
-      << "\tworker_busy_sec=" << encode_worker_busy(s.worker_busy_seconds) << '\n';
-}
-
 }  // namespace
 
+Sidecar CampaignReport::sidecar() const {
+  Sidecar s;
+  s.rows_name = "platforms";
+  s.columns = {"platform", "cells_total", "cells_ok", "cells_failed", "cells_rejected",
+               "cells_deferred", "cells_restored", "requests", "uploads", "trainings",
+               "predictions", "rate_limited", "transient_errors", "server_errors",
+               "unavailable", "retries", "breaker_trips", "backoff_sec", "outage_sec",
+               "simulated_sec", "train_cpu_sec", "predict_cpu_sec", "failures"};
+  for (const auto& p : platforms) {
+    s.rows.push_back({p.platform, p.cells_total, p.cells_ok, p.cells_failed, p.cells_rejected,
+                      p.cells_deferred, p.cells_restored, p.service.requests,
+                      p.service.uploads, p.service.trainings, p.service.predictions,
+                      p.service.rate_limited, p.service.transient_errors,
+                      p.service.server_errors, p.service.unavailable, p.retries,
+                      p.breaker_trips, p.backoff_seconds, p.outage_seconds,
+                      p.simulated_seconds, p.service.train_cpu_seconds,
+                      p.service.predict_cpu_seconds, encode_failures(p.failures_by_status)});
+  }
+  // Scheduler telemetry exists only for a pooled run; the trace summary only
+  // for a traced one, so untraced sidecar bytes are unchanged from
+  // pre-trace builds.
+  if (scheduler.workers > 0) {
+    s.trailers.push_back({"scheduler",
+                          {{"schedule", scheduler.schedule},
+                           {"workers", scheduler.workers},
+                           {"sessions", scheduler.sessions},
+                           {"stolen", scheduler.sessions_stolen},
+                           {"makespan_sec", scheduler.makespan_seconds},
+                           {"busy_sec", scheduler.busy_seconds()},
+                           {"imbalance", scheduler.imbalance()},
+                           {"worker_busy_sec",
+                            encode_worker_busy(scheduler.worker_busy_seconds)}}});
+  }
+  if (!trace_summary.empty()) s.trailers.push_back({"trace", {{"", trace_summary}}});
+  return s;
+}
+
 void CampaignReport::save_tsv(const std::string& path) const {
-  std::ofstream out = open_sidecar(path, "CampaignReport");
-  out.precision(10);
-  out << kReportHeader << '\n';
-  for (const auto& p : platforms) write_report_row(out, p);
-  if (scheduler.workers > 0) write_scheduler_row(out, scheduler);
-  if (!trace_summary.empty()) out << kTracePrefix << trace_summary << '\n';
-  finish_sidecar(out, path, "CampaignReport");
+  sidecar().save_tsv(path, "CampaignReport");
 }
 
 void CampaignReport::save_json(const std::string& path) const {
-  std::ofstream out = open_sidecar(path, "CampaignReport");
-  out.precision(10);
-  out << "{\n  \"platforms\": [\n";
-  for (std::size_t i = 0; i < platforms.size(); ++i) {
-    const auto& p = platforms[i];
-    out << "    {\n"
-        << "      \"platform\": \"" << json_escape(p.platform) << "\",\n"
-        << "      \"cells\": {\"total\": " << p.cells_total << ", \"ok\": " << p.cells_ok
-        << ", \"failed\": " << p.cells_failed << ", \"rejected\": " << p.cells_rejected
-        << ", \"deferred\": " << p.cells_deferred
-        << ", \"restored\": " << p.cells_restored << "},\n"
-        << "      \"coverage\": " << p.coverage() << ",\n"
-        << "      \"requests\": " << p.service.requests
-        << ", \"uploads\": " << p.service.uploads
-        << ", \"trainings\": " << p.service.trainings
-        << ", \"predictions\": " << p.service.predictions << ",\n"
-        << "      \"rate_limited\": " << p.service.rate_limited
-        << ", \"transient_errors\": " << p.service.transient_errors
-        << ", \"server_errors\": " << p.service.server_errors
-        << ", \"unavailable\": " << p.service.unavailable
-        << ", \"retries\": " << p.retries
-        << ", \"breaker_trips\": " << p.breaker_trips << ",\n"
-        << "      \"backoff_seconds\": " << p.backoff_seconds
-        << ", \"outage_seconds\": " << p.outage_seconds
-        << ", \"simulated_seconds\": " << p.simulated_seconds
-        << ", \"train_cpu_seconds\": " << p.service.train_cpu_seconds
-        << ", \"predict_cpu_seconds\": " << p.service.predict_cpu_seconds << ",\n"
-        << "      \"failures_by_status\": {";
-    bool first = true;
-    for (const auto& [status, count] : p.failures_by_status) {
-      if (!first) out << ", ";
-      first = false;
-      out << "\"" << json_escape(status) << "\": " << count;
-    }
-    out << "}\n    }" << (i + 1 < platforms.size() ? "," : "") << "\n";
-  }
-  const PlatformCampaignStats total = totals();
-  out << "  ],\n  \"scheduler\": {\"schedule\": \"" << json_escape(scheduler.schedule)
-      << "\", \"workers\": " << scheduler.workers
-      << ", \"sessions\": " << scheduler.sessions
-      << ", \"sessions_stolen\": " << scheduler.sessions_stolen
-      << ", \"makespan_seconds\": " << scheduler.makespan_seconds
-      << ", \"busy_seconds\": " << scheduler.busy_seconds()
-      << ", \"imbalance\": " << scheduler.imbalance() << ", \"worker_busy_seconds\": [";
-  for (std::size_t i = 0; i < scheduler.worker_busy_seconds.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << scheduler.worker_busy_seconds[i];
-  }
-  out << "]},\n";
-  if (!trace_summary.empty()) {
-    out << "  \"trace\": \"" << json_escape(trace_summary) << "\",\n";
-  }
-  out << "  \"total\": {\"cells_ok\": " << total.cells_ok
-      << ", \"cells_failed\": " << total.cells_failed
-      << ", \"coverage\": " << total.coverage()
-      << ", \"simulated_seconds\": " << total.simulated_seconds << "}\n}\n";
-  finish_sidecar(out, path, "CampaignReport");
+  sidecar().save_json(path, "CampaignReport");
 }
 
 std::vector<PipelineConfig> enumerate_configs(const Platform& platform,
@@ -607,15 +546,8 @@ void run_session(const Dataset& dataset, const TrainTestSplit& split,
   }
 
   const auto finish_cell = [&](Measurement m) {
-    if (m.ok) {
-      ++stats->cells_ok;
-    } else if (m.deferred()) {
-      ++stats->cells_deferred;
-    } else {
-      ++stats->cells_failed;
-      ++stats->failures_by_status[m.failure];
-    }
-    out->add(m);
+    stats->count(m);
+    out->add(std::move(m));
     // The hook reports the durable cell count (cells whose session block has
     // reached disk): a hook that aborts the campaign (crash-injection tests)
     // can rely on exactly that many cells surviving.
@@ -928,14 +860,7 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
       pstats.cells_restored += it->second.size();
       pstats.cells_rejected += cells[p].size() - it->second.size();
       for (const auto& m : it->second) {
-        if (m.ok) {
-          ++pstats.cells_ok;
-        } else if (m.deferred()) {
-          ++pstats.cells_deferred;
-        } else {
-          ++pstats.cells_failed;
-          ++pstats.failures_by_status[m.failure];
-        }
+        pstats.count(m);
         slots[s].add(m);
       }
       if (track != nullptr) {
@@ -1034,6 +959,19 @@ std::string fingerprint_number(double v) {
   return os.str();
 }
 
+/// Every dataset's id, shape, feature bits and labels, chained in corpus
+/// order: two corpora of one size never share a fingerprint.
+std::uint64_t corpus_digest(const std::vector<Dataset>& corpus) {
+  std::uint64_t h = 0;
+  for (const Dataset& d : corpus) {
+    const Matrix& x = d.x();
+    const std::uint64_t shape = x.rows() * 0x9e3779b97f4a7c15ull + x.cols();
+    h = content_hash(derive_seed(h, d.meta().id) ^ shape, x.data());
+    h = content_hash(h, std::span<const int>(d.y()));
+  }
+  return h;
+}
+
 }  // namespace
 
 std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
@@ -1065,6 +1003,10 @@ std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
   if (options.campaign.jitter) {
     os << " jitter=1";
   }
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(corpus_digest(corpus)));
+  os << " data=" << digest;
   return os.str();
 }
 
@@ -1119,7 +1061,8 @@ MeasurementTable run_or_load(const std::vector<Dataset>& corpus,
 
 std::string default_cache_path(std::uint64_t seed, double scale) {
   std::ostringstream os;
-  os << "mlaas_measurements_seed" << seed << "_scale" << scale << ".tsv";
+  os << "mlaas_measurements_seed" << seed << "_scale" << fingerprint_number(scale)
+     << ".tsv";
   return os.str();
 }
 

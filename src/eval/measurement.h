@@ -26,7 +26,7 @@
 #include "platform/all_platforms.h"
 #include "platform/breaker.h"
 #include "platform/service.h"
-#include "util/metrics.h"
+#include "util/io.h"
 
 namespace mlaas {
 
@@ -223,9 +223,9 @@ struct PlatformCampaignStats {
   double outage_seconds = 0.0;    // simulated seconds inside outage windows
   std::map<std::string, std::size_t> failures_by_status;
 
-  /// Scalar telemetry in declaration order — drives merge() and the metrics
-  /// registry (util/metrics.h).  `service` and `failures_by_status` have
-  /// their own merge paths and are visited separately.
+  /// Scalar telemetry in declaration order — drives merge() (and the
+  /// perfbench digest).  `service` and `failures_by_status` have their own
+  /// merge paths and are visited separately.
   template <typename Self, typename Visitor>
   static void visit_fields(Self& self, Visitor&& visit) {
     visit("retries", self.retries);
@@ -241,6 +241,10 @@ struct PlatformCampaignStats {
     visit("outage_seconds", self.outage_seconds);
   }
 
+  /// Account one finished cell: ok, deferred, or failed (failures also by
+  /// status).  The one place a row's outcome becomes a counter, for run and
+  /// restored sessions alike.
+  void count(const Measurement& m);
   void merge(const PlatformCampaignStats& other);
   /// Fraction of attempted cells that produced a measurement.
   double coverage() const;
@@ -259,17 +263,6 @@ struct SchedulerStats {
   double makespan_seconds = 0.0;     // wall seconds of the dispatch
   std::vector<double> worker_busy_seconds;  // per-worker time inside sessions
 
-  /// Scalar telemetry for the metrics registry.  Wall-clock numbers stay
-  /// here (and out of every trace): the registry snapshot of a report is a
-  /// description of the run, not a determinism-checked artifact.
-  template <typename Self, typename Visitor>
-  static void visit_fields(Self& self, Visitor&& visit) {
-    visit("workers", self.workers);
-    visit("sessions", self.sessions);
-    visit("sessions_stolen", self.sessions_stolen);
-    visit("makespan_seconds", self.makespan_seconds);
-  }
-
   double busy_seconds() const;  // sum over workers
   /// max(worker busy) / mean(worker busy); 1.0 = perfectly balanced.
   double imbalance() const;
@@ -287,9 +280,10 @@ struct CampaignReport {
   PlatformCampaignStats totals() const;
   double coverage() const { return totals().coverage(); }
 
-  /// Every platform's telemetry plus the scheduler's, registered into one
-  /// registry in canonical (roster, field-declaration) order.
-  MetricsRegistry metrics() const;
+  /// The report as one value: a 23-column row per platform, then the
+  /// `scheduler` trailer (pooled runs only) and the bare `trace` trailer
+  /// (traced runs only).  Both sidecar formats are written from it.
+  Sidecar sidecar() const;
 
   /// Write-only sidecars: nothing in the library reads a report back.
   void save_tsv(const std::string& path) const;
@@ -342,8 +336,9 @@ std::optional<Measurement> measure_one(const Dataset& dataset, const Platform& p
                                        const MeasurementOptions& options);
 
 /// Identity of a measurement pass: format version, corpus size, platform
-/// roster and the knobs that shape the table.  Stored in the cache header;
-/// a mismatch forces a re-run.
+/// roster, the knobs that shape the table and a trailing `data=<16 hex>`
+/// digest of the corpus contents.  Stored in the cache header; a mismatch
+/// forces a re-run.
 std::string measurement_fingerprint(const std::vector<Dataset>& corpus,
                                     const std::vector<PlatformPtr>& platforms,
                                     const MeasurementOptions& options);
@@ -359,6 +354,8 @@ MeasurementTable run_or_load(const std::vector<Dataset>& corpus,
                              const std::string& cache_path);
 
 /// Default cache path for a seed/scale pair (shared by all bench binaries).
+/// The scale is printed as in the fingerprint: 6 significant digits when
+/// they read back exactly, else 17, so two scales never share a path.
 std::string default_cache_path(std::uint64_t seed, double scale);
 
 }  // namespace mlaas

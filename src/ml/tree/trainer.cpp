@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -396,20 +395,6 @@ thread_local TrainContext* t_active_context = nullptr;
 /// and a campaign session one per feature step, both far below this; the
 /// cap only guards pathological callers from unbounded column-cache memory.
 constexpr std::size_t kMaxContextEntries = 16;
-
-/// splitmix64 chain over the raw bits of `values`, seeded with `shape`.
-template <typename T>
-std::uint64_t content_hash(std::uint64_t shape, std::span<const T> values) {
-  std::uint64_t state = shape;
-  std::uint64_t h = splitmix64(state);
-  for (const T v : values) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(v));
-    state = h ^ bits;
-    h = splitmix64(state);
-  }
-  return h;
-}
 
 /// Full content hash of a matrix (splitmix64 over the raw double bits plus
 /// the dimensions).  Collision-resistant enough that a stale cache entry

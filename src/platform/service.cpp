@@ -181,15 +181,6 @@ std::vector<std::string> quota_profile_names() {
 
 void ServiceStats::merge(const ServiceStats& other) { merge_stats(*this, other); }
 
-MlaasService::MlaasService(PlatformPtr platform, ServiceQuota quota, std::uint64_t seed)
-    : owned_platform_(std::move(platform)),
-      platform_(owned_platform_.get()),
-      quota_(quota),
-      rng_(derive_seed(seed, "mlaas-service")) {
-  if (platform_ == nullptr) throw std::invalid_argument("MlaasService: null platform");
-  platform_name_ = platform_->name();
-}
-
 MlaasService::MlaasService(const Platform& platform, ServiceQuota quota, std::uint64_t seed)
     : platform_(&platform),
       platform_name_(platform.name()),

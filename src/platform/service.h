@@ -154,7 +154,7 @@ struct ServiceStats {
   double predict_cpu_seconds = 0.0;
 
   /// Scalar counters in declaration order, for util/metrics.h's generic
-  /// merge_stats / register_stats (replaces the old hand-rolled merge body).
+  /// merge_stats (and the perfbench digest).
   template <typename Self, typename Visitor>
   static void visit_fields(Self& self, Visitor&& visit) {
     visit("requests", self.requests);
@@ -176,11 +176,9 @@ struct ServiceStats {
 
 class MlaasService {
  public:
-  /// Owning constructor (the service is the platform's only user).
-  MlaasService(PlatformPtr platform, ServiceQuota quota, std::uint64_t seed);
-  /// Non-owning constructor: `platform` must outlive the service.  Used by
-  /// the measurement campaign, which opens one session per (dataset,
-  /// platform) cell over a shared platform roster.
+  /// `platform` must outlive the service.  The measurement campaign opens
+  /// one session per (dataset, platform) cell over a shared platform roster;
+  /// the serving router one service per roster platform.
   MlaasService(const Platform& platform, ServiceQuota quota, std::uint64_t seed);
 
   const std::string& platform_name() const { return platform_name_; }
@@ -249,7 +247,6 @@ class MlaasService {
   ServiceStatus traced(const char* op, double start, std::size_t rows,
                        ServiceStatus status);
 
-  PlatformPtr owned_platform_;       // null when non-owning
   const Platform* platform_;
   std::string platform_name_;
   ServiceQuota quota_;

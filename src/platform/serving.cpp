@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "data/generators.h"
 #include "platform/all_platforms.h"
-#include "util/io.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -41,13 +39,6 @@ void LatencyHistogram::record(double seconds) {
   ++count_;
   total_ += seconds;
   max_ = std::max(max_, seconds);
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  total_ += other.total_;
-  max_ = std::max(max_, other.max_);
 }
 
 double LatencyHistogram::quantile(double q) const {
@@ -104,11 +95,6 @@ std::string to_string(QueryOutcome outcome) {
   return "unknown";
 }
 
-void TenantServingStats::merge(const TenantServingStats& other) {
-  merge_stats(*this, other);
-  latency.merge(other.latency);
-}
-
 double ServingStats::mean_batch_rows() const {
   return batches == 0 ? 0.0
                       : static_cast<double>(batched_rows) / static_cast<double>(batches);
@@ -128,151 +114,65 @@ double ServingStats::goodput() const {
   return requests == 0 ? 0.0 : static_cast<double>(ok) / static_cast<double>(requests);
 }
 
-namespace {
-
-constexpr const char* kServingHeader =
-    "tenant\trequests\trows\tok\tfailed\trejected\tmean_ms\tp50_ms\tp95_ms\tp99_ms\tmax_ms";
-
-void write_latency_columns(std::ostream& out, const LatencyHistogram& h) {
-  out << h.mean_seconds() * 1000.0 << '\t' << h.quantile(0.50) * 1000.0 << '\t'
-      << h.quantile(0.95) * 1000.0 << '\t' << h.quantile(0.99) * 1000.0 << '\t'
-      << h.max_seconds() * 1000.0;
-}
-
-void write_tenant_row(std::ostream& out, const TenantServingStats& t) {
-  out << t.tenant << '\t' << t.requests << '\t' << t.rows << '\t' << t.ok << '\t'
-      << t.failed << '\t' << t.rejected << '\t';
-  write_latency_columns(out, t.latency);
-  out << '\n';
-}
-
-void write_latency_json(std::ostream& out, const LatencyHistogram& h) {
-  out << "{\"mean\": " << h.mean_seconds() * 1000.0
-      << ", \"p50\": " << h.quantile(0.50) * 1000.0
-      << ", \"p95\": " << h.quantile(0.95) * 1000.0
-      << ", \"p99\": " << h.quantile(0.99) * 1000.0
-      << ", \"max\": " << h.max_seconds() * 1000.0 << "}";
-}
-
-}  // namespace
-
-void ServingReport::write_tsv(std::ostream& out) const {
-  out.precision(10);
-  out << kServingHeader << '\n';
-  for (const auto& t : tenants) write_tenant_row(out, t);
-  TenantServingStats total;
-  total.tenant = "TOTAL";
-  total.requests = totals.requests;
-  total.rows = totals.rows;
-  total.ok = totals.ok;
-  total.failed = totals.failed;
-  total.rejected = totals.rejected;
-  total.latency = totals.latency;
-  write_tenant_row(out, total);
-  // Router counters ride along as a marked trailer (same scheme as the
-  // campaign report's "# scheduler" line) so the tenant table keeps its
-  // fixed column shape.
-  out << "# serving\tbatches=" << totals.batches
-      << "\tmean_batch_rows=" << totals.mean_batch_rows()
-      << "\toccupancy=" << totals.batch_occupancy(max_batch_rows)
-      << "\tthroughput_rows_per_sec=" << totals.throughput_rows_per_sec()
-      << "\tsimulated_sec=" << totals.simulated_seconds
-      << "\tflushed_full=" << totals.flushed_full
-      << "\tflushed_linger=" << totals.flushed_linger
-      << "\tflushed_forced=" << totals.flushed_forced
-      << "\tcache_hits=" << totals.cache_hits
-      << "\tcache_misses=" << totals.cache_misses
-      << "\tcache_evictions=" << totals.cache_evictions
-      << "\ttrainings=" << totals.trainings << "\tretries=" << totals.retries
-      << "\trate_limited=" << totals.rate_limited
-      << "\tbackoff_sec=" << totals.backoff_seconds << '\n';
-  // SLO telemetry only exists once a resilience knob was turned; the gate
-  // keeps chaos-off reports byte-identical to the pre-resilience format.
+Sidecar ServingReport::sidecar() const {
+  Sidecar s;
+  s.rows_name = "tenants";
+  s.columns = {"tenant", "requests", "rows", "ok", "failed", "rejected",
+               "mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"};
+  const auto add_row = [&s](const TenantServingStats& t) {
+    const LatencyHistogram& h = t.latency;
+    s.rows.push_back({t.tenant, t.requests, t.rows, t.ok, t.failed, t.rejected,
+                      h.mean_seconds() * 1000.0, h.quantile(0.50) * 1000.0,
+                      h.quantile(0.95) * 1000.0, h.quantile(0.99) * 1000.0,
+                      h.max_seconds() * 1000.0});
+  };
+  for (const auto& t : tenants) add_row(t);
+  add_row({"TOTAL", totals.requests, totals.rows, totals.ok, totals.failed, totals.rejected,
+           totals.latency});
+  s.trailers.push_back({"serving",
+                        {{"batches", totals.batches},
+                         {"mean_batch_rows", totals.mean_batch_rows()},
+                         {"occupancy", totals.batch_occupancy(max_batch_rows)},
+                         {"throughput_rows_per_sec", totals.throughput_rows_per_sec()},
+                         {"simulated_sec", totals.simulated_seconds},
+                         {"flushed_full", totals.flushed_full},
+                         {"flushed_linger", totals.flushed_linger},
+                         {"flushed_forced", totals.flushed_forced},
+                         {"cache_hits", totals.cache_hits},
+                         {"cache_misses", totals.cache_misses},
+                         {"cache_evictions", totals.cache_evictions},
+                         {"trainings", totals.trainings},
+                         {"retries", totals.retries},
+                         {"rate_limited", totals.rate_limited},
+                         {"backoff_sec", totals.backoff_seconds}}});
+  // SLO telemetry only exists once a resilience knob was turned, and the
+  // trace summary once tracing ran: both gates keep the reports of runs
+  // without them byte-identical to the earlier format.
   if (resilience) {
-    out << "# resilience\tgoodput=" << totals.goodput()
-        << "\tdeadline_missed=" << totals.deadline_missed
-        << "\tfailovers=" << totals.failovers
-        << "\tdegraded_answers=" << totals.degraded_answers
-        << "\tdegraded_rejected=" << totals.degraded_rejected
-        << "\tbreaker_gated=" << totals.breaker_gated
-        << "\tbreaker_trips=" << totals.breaker_trips
-        << "\trefused_sleeps=" << totals.refused_sleeps
-        << "\tflushed_deadline=" << totals.flushed_deadline << '\n';
+    s.trailers.push_back({"resilience",
+                          {{"goodput", totals.goodput()},
+                           {"deadline_missed", totals.deadline_missed},
+                           {"failovers", totals.failovers},
+                           {"degraded_answers", totals.degraded_answers},
+                           {"degraded_rejected", totals.degraded_rejected},
+                           {"breaker_gated", totals.breaker_gated},
+                           {"breaker_trips", totals.breaker_trips},
+                           {"refused_sleeps", totals.refused_sleeps},
+                           {"flushed_deadline", totals.flushed_deadline}}});
   }
-  out << "# histogram\t" << totals.latency.encode() << '\n';
-  // Same gating discipline as "# resilience": the trailer only exists when
-  // tracing ran, so untraced reports keep their historical bytes.
-  if (!trace_summary.empty()) out << "# trace\t" << trace_summary << '\n';
+  s.trailers.push_back({"histogram", {{"", totals.latency.encode()}}});
+  if (!trace_summary.empty()) s.trailers.push_back({"trace", {{"", trace_summary}}});
+  return s;
 }
 
-MetricsRegistry ServingReport::metrics() const {
-  MetricsRegistry registry;
-  register_stats(registry, "serving.", totals);
-  for (const auto& t : tenants) {
-    register_stats(registry, "tenant." + t.tenant + ".", t);
-  }
-  return registry;
-}
+void ServingReport::write_tsv(std::ostream& out) const { sidecar().write_tsv(out); }
 
 void ServingReport::save_tsv(const std::string& path) const {
-  std::ofstream out = open_sidecar(path, "ServingReport");
-  write_tsv(out);
-  finish_sidecar(out, path, "ServingReport");
+  sidecar().save_tsv(path, "ServingReport");
 }
 
 void ServingReport::save_json(const std::string& path) const {
-  std::ofstream out = open_sidecar(path, "ServingReport");
-  out.precision(10);
-  out << "{\n  \"totals\": {\n"
-      << "    \"requests\": " << totals.requests << ", \"rows\": " << totals.rows
-      << ", \"ok\": " << totals.ok << ", \"failed\": " << totals.failed
-      << ", \"rejected\": " << totals.rejected << ",\n"
-      << "    \"batches\": " << totals.batches
-      << ", \"mean_batch_rows\": " << totals.mean_batch_rows()
-      << ", \"batch_occupancy\": " << totals.batch_occupancy(max_batch_rows)
-      << ", \"max_batch_rows\": " << max_batch_rows << ",\n"
-      << "    \"flushed_full\": " << totals.flushed_full
-      << ", \"flushed_linger\": " << totals.flushed_linger
-      << ", \"flushed_forced\": " << totals.flushed_forced << ",\n"
-      << "    \"cache_hits\": " << totals.cache_hits
-      << ", \"cache_misses\": " << totals.cache_misses
-      << ", \"cache_evictions\": " << totals.cache_evictions
-      << ", \"trainings\": " << totals.trainings << ",\n"
-      << "    \"retries\": " << totals.retries
-      << ", \"rate_limited\": " << totals.rate_limited
-      << ", \"backoff_seconds\": " << totals.backoff_seconds << ",\n"
-      << "    \"simulated_seconds\": " << totals.simulated_seconds
-      << ", \"throughput_rows_per_sec\": " << totals.throughput_rows_per_sec() << ",\n"
-      << "    \"latency_ms\": ";
-  write_latency_json(out, totals.latency);
-  out << "\n  },\n";
-  if (resilience) {
-    out << "  \"resilience\": {\"goodput\": " << totals.goodput()
-        << ", \"deadline_missed\": " << totals.deadline_missed
-        << ", \"failovers\": " << totals.failovers
-        << ", \"degraded_answers\": " << totals.degraded_answers
-        << ", \"degraded_rejected\": " << totals.degraded_rejected
-        << ", \"breaker_gated\": " << totals.breaker_gated
-        << ", \"breaker_trips\": " << totals.breaker_trips
-        << ", \"refused_sleeps\": " << totals.refused_sleeps
-        << ", \"flushed_deadline\": " << totals.flushed_deadline << "},\n";
-  }
-  if (!trace_summary.empty()) {
-    out << "  \"trace\": \"" << json_escape(trace_summary) << "\",\n";
-  }
-  out << "  \"histogram\": \"" << json_escape(totals.latency.encode())
-      << "\",\n  \"tenants\": [\n";
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    const auto& t = tenants[i];
-    out << "    {\"tenant\": \"" << json_escape(t.tenant)
-        << "\", \"requests\": " << t.requests << ", \"rows\": " << t.rows
-        << ", \"ok\": " << t.ok << ", \"failed\": " << t.failed
-        << ", \"rejected\": " << t.rejected << ", \"latency_ms\": ";
-    write_latency_json(out, t.latency);
-    out << "}" << (i + 1 < tenants.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  finish_sidecar(out, path, "ServingReport");
+  sidecar().save_json(path, "ServingReport");
 }
 
 void validate_serving_options(const ServingOptions& o) {

@@ -40,6 +40,7 @@
 
 #include "platform/breaker.h"
 #include "platform/service.h"
+#include "util/io.h"
 #include "util/trace.h"
 
 namespace mlaas {
@@ -54,7 +55,6 @@ class LatencyHistogram {
   LatencyHistogram();
 
   void record(double seconds);
-  void merge(const LatencyHistogram& other);
 
   std::size_t count() const { return count_; }
   double total_seconds() const { return total_; }
@@ -170,19 +170,6 @@ struct TenantServingStats {
   std::size_t failed = 0;    // batch exhausted retries / permanent error
   std::size_t rejected = 0;  // admission control turned the submit away
   LatencyHistogram latency;
-
-  /// Scalar counters in declaration order, for util/metrics.h's generic
-  /// merge_stats / register_stats (the histogram merges separately).
-  template <typename Self, typename Visitor>
-  static void visit_fields(Self& self, Visitor&& visit) {
-    visit("requests", self.requests);
-    visit("rows", self.rows);
-    visit("ok", self.ok);
-    visit("failed", self.failed);
-    visit("rejected", self.rejected);
-  }
-
-  void merge(const TenantServingStats& other);
 };
 
 /// Router-wide serving telemetry.
@@ -221,37 +208,6 @@ struct ServingStats {
   std::size_t breaker_trips = 0;     // breaker open transitions, all platforms
   std::size_t refused_sleeps = 0;    // retry sleeps refused by deadline budgets
 
-  /// Scalar counters in declaration order, for util/metrics.h registration.
-  template <typename Self, typename Visitor>
-  static void visit_fields(Self& self, Visitor&& visit) {
-    visit("requests", self.requests);
-    visit("rows", self.rows);
-    visit("ok", self.ok);
-    visit("failed", self.failed);
-    visit("rejected", self.rejected);
-    visit("batches", self.batches);
-    visit("batched_rows", self.batched_rows);
-    visit("flushed_full", self.flushed_full);
-    visit("flushed_linger", self.flushed_linger);
-    visit("flushed_forced", self.flushed_forced);
-    visit("flushed_deadline", self.flushed_deadline);
-    visit("cache_hits", self.cache_hits);
-    visit("cache_misses", self.cache_misses);
-    visit("cache_evictions", self.cache_evictions);
-    visit("trainings", self.trainings);
-    visit("retries", self.retries);
-    visit("rate_limited", self.rate_limited);
-    visit("backoff_seconds", self.backoff_seconds);
-    visit("simulated_seconds", self.simulated_seconds);
-    visit("deadline_missed", self.deadline_missed);
-    visit("failovers", self.failovers);
-    visit("degraded_answers", self.degraded_answers);
-    visit("degraded_rejected", self.degraded_rejected);
-    visit("breaker_gated", self.breaker_gated);
-    visit("breaker_trips", self.breaker_trips);
-    visit("refused_sleeps", self.refused_sleeps);
-  }
-
   /// Mean rows per flushed batch.
   double mean_batch_rows() const;
   /// mean_batch_rows / max_batch_rows in [0, 1].
@@ -263,28 +219,28 @@ struct ServingStats {
 };
 
 /// Telemetry report: totals plus one row per tenant, written through the
-/// same TSV/JSON sidecar style as the campaign report.
+/// same sidecar encoder as the campaign report.
 struct ServingReport {
   ServingStats totals;
   std::vector<TenantServingStats> tenants;  // session-open order
   std::size_t max_batch_rows = 0;
   /// True when any resilience knob was on (or a per-request deadline was
-  /// used).  Gates the "# resilience" TSV trailer and the JSON "resilience"
-  /// block, so chaos-off reports stay byte-identical to the pre-resilience
-  /// format.
+  /// used).  Gates the `resilience` trailer, so chaos-off reports stay
+  /// byte-identical to the pre-resilience format.
   bool resilience = false;
   /// Trace::summary() of the run's trace; empty when tracing was off.
-  /// Gates the "# trace" TSV trailer and the JSON "trace" field the same
-  /// way `resilience` gates its block.
+  /// Gates the bare `trace` trailer the same way `resilience` gates its
+  /// trailer.
   std::string trace_summary;
+
+  /// The report as one value: an 11-column row per tenant then `TOTAL`,
+  /// followed by the `serving`, `resilience` (gated), bare `histogram` and
+  /// bare `trace` (gated) trailers.  Both sidecar formats are written from it.
+  Sidecar sidecar() const;
 
   void write_tsv(std::ostream& out) const;
   void save_tsv(const std::string& path) const;
   void save_json(const std::string& path) const;
-
-  /// Totals and per-tenant counters re-registered into one registry
-  /// (stable order: totals in field order, then tenants in open order).
-  MetricsRegistry metrics() const;
 };
 
 /// Validate the user-facing serving knobs the CLI front ends collect;

@@ -6,11 +6,11 @@
 
 namespace mlaas {
 
-double& MetricsRegistry::slot(const std::string& name, Kind kind) {
+double& MetricsRegistry::counter(const std::string& name) {
   const auto it = index_.find(name);
   if (it != index_.end()) return entries_[it->second].value;
   index_.emplace(name, entries_.size());
-  entries_.push_back(Entry{name, kind, 0.0});
+  entries_.push_back(Entry{name, 0.0});
   return entries_.back().value;
 }
 
@@ -20,17 +20,6 @@ double MetricsRegistry::value(const std::string& name) const {
     throw std::out_of_range("MetricsRegistry: unknown metric " + name);
   }
   return entries_[it->second].value;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const Entry& entry : other.entries_) {
-    double& mine = slot(entry.name, entry.kind);
-    if (entry.kind == Kind::kCounter) {
-      mine += entry.value;
-    } else {
-      mine = entry.value;
-    }
-  }
 }
 
 std::string format_metric_value(double value) {
@@ -53,15 +42,6 @@ std::string MetricsRegistry::encode() const {
     out << entries_[i].name << '=' << format_metric_value(entries_[i].value);
   }
   return out.str();
-}
-
-void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{";
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << "\"" << entries_[i].name << "\": " << format_metric_value(entries_[i].value);
-  }
-  out << "}";
 }
 
 }  // namespace mlaas

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 
@@ -21,6 +22,31 @@ std::uint64_t hash64(std::string_view s) {
     h *= 0x100000001b3ull;
   }
   return derive_seed(h, 0);
+}
+
+namespace {
+
+template <typename T>
+std::uint64_t content_hash_of(std::uint64_t shape, std::span<const T> values) {
+  std::uint64_t state = shape;
+  std::uint64_t h = splitmix64(state);
+  for (const T v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(v));
+    state = h ^ bits;
+    h = splitmix64(state);
+  }
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t content_hash(std::uint64_t shape, std::span<const double> values) {
+  return content_hash_of(shape, values);
+}
+
+std::uint64_t content_hash(std::uint64_t shape, std::span<const int> values) {
+  return content_hash_of(shape, values);
 }
 
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -18,6 +19,11 @@ std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Stable 64-bit hash of a string (FNV-1a finished with splitmix64).
 std::uint64_t hash64(std::string_view s);
+
+/// splitmix64 chain over the raw bits of `values`, seeded with `shape`: the
+/// content hash behind TrainContext's keys and the measurement fingerprint.
+std::uint64_t content_hash(std::uint64_t shape, std::span<const double> values);
+std::uint64_t content_hash(std::uint64_t shape, std::span<const int> values);
 
 /// Combine a seed with extra entropy (order-sensitive, deterministic).
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt);

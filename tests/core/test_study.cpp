@@ -158,6 +158,21 @@ TEST(StudyOptionsTest, CachePathEncodesSeedAndScale) {
   EXPECT_NE(opt.cache_path().find("scale2"), std::string::npos);
 }
 
+TEST(StudyOptions, CachePathDistinguishesScalesBeyondSixDigits) {
+  // Two quick studies whose scales print alike at 6 digits build different
+  // corpora; they used to share one cache path.
+  StudyOptions a, b;
+  a.quick = b.quick = true;
+  a.scale = 0.3333333;
+  b.scale = 0.33333334;
+  EXPECT_NE(a.cache_path(), b.cache_path());
+  // Scales that read back at 6 digits keep their path bytes.
+  a.scale = 0.25;
+  EXPECT_EQ(a.cache_path(), "quick_mlaas_measurements_seed42_scale0.25.tsv");
+  a.scale = 1.0 / 3.0;
+  EXPECT_EQ(a.cache_path(), "quick_mlaas_measurements_seed42_scale0.33333333333333331.tsv");
+}
+
 
 // ---- StudyOptions::from_flags ----
 
@@ -346,8 +361,8 @@ TEST_F(StudyFlags, UsageListsExactlyTheFlagsItReads) {
 }
 
 TEST_F(StudyFlags, FingerprintOfFullArgvIsPinned) {
-  // The literal was produced by the pre-from_flags parser: caches and
-  // journals written before it stay valid.
+  // The literal up to ` data=` was produced by the pre-from_flags parser;
+  // the corpus digest (here of the empty corpus) is appended since.
   const MeasurementOptions m =
       parse({"--seed", "7", "--scale", "0.75", "--threads", "2", "--schedule", "static",
              "--fault-rate", "0.1", "--quota-profile", "strict", "--retry-budget", "3",
@@ -358,7 +373,7 @@ TEST_F(StudyFlags, FingerprintOfFullArgvIsPinned) {
             "mlaas-measurements-v2 corpus=0 "
             "platforms=Google,ABM,Amazon,BigML,PredictionIO,Microsoft,Local seed=7 "
             "scale=0.75 para=12 joint=40 test_fraction=0.3 fault=0.1 profile=strict "
-            "retries=3 chaos=storm breaker=4/90.5/1 jitter=1");
+            "retries=3 chaos=storm breaker=4/90.5/1 jitter=1 data=0000000000000000");
   EXPECT_EQ(m.threads, 2);
   EXPECT_EQ(m.schedule, Schedule::kStatic);
   EXPECT_FALSE(m.campaign.resume);

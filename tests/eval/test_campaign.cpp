@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
 #include "data/generators.h"
 #include "data/split.h"
@@ -248,9 +249,13 @@ TEST(CampaignReport, TsvRowsMatchTheReportAndJsonWritten) {
   }
   EXPECT_TRUE(any_failure) << "a 0.5 fault rate with 2 attempts must fail some cells";
   EXPECT_EQ(lines[lines.size() - 2].rfind("# scheduler\tschedule=dynamic\tworkers=2\t", 0), 0u);
+  // The JSON renders the same value: a platforms array carrying the TSV's
+  // columns and the scheduler trailer as an object.
   const std::string text = read_file(json);
-  EXPECT_NE(text.find("\"platforms\""), std::string::npos);
-  EXPECT_NE(text.find("\"coverage\""), std::string::npos);
+  EXPECT_EQ(text.rfind("{\n  \"platforms\": [\n    {\"platform\": ", 0), 0u) << text;
+  EXPECT_NE(text.find("\"failures\": "), std::string::npos);
+  EXPECT_NE(text.find("\"scheduler\": {\"schedule\": \"dynamic\", \"workers\": 2, "),
+            std::string::npos) << text;
   std::remove(tsv.c_str());
   std::remove(json.c_str());
 }
@@ -317,6 +322,96 @@ TEST(CampaignReport, SaveTsvBytesArePinned) {
             "# scheduler\tschedule=dynamic\tworkers=2\tsessions=4\tstolen=1\tmakespan_sec=1.5\t"
             "busy_sec=2\timbalance=1.25\tworker_busy_sec=1.25;0.75\n"
             "# trace\ttracks=4 spans=12 instants=3\n");
+  std::remove(path.c_str());
+}
+
+/// The report SaveTsvBytesArePinned writes, for the JSON pin.
+CampaignReport pinned_report() {
+  CampaignReport report;
+  PlatformCampaignStats local;
+  local.platform = "Local";
+  local.cells_total = 10;
+  local.cells_ok = 7;
+  local.cells_failed = 2;
+  local.cells_rejected = 1;
+  local.cells_restored = 3;
+  local.service.requests = 25;
+  local.service.uploads = 1;
+  local.service.trainings = 9;
+  local.service.predictions = 700;
+  local.service.rate_limited = 4;
+  local.service.transient_errors = 2;
+  local.service.server_errors = 1;
+  local.service.train_cpu_seconds = 0.125;
+  local.service.predict_cpu_seconds = 0.0625;
+  local.retries = 6;
+  local.backoff_seconds = 12.5;
+  local.simulated_seconds = 345.25;
+  local.failures_by_status = {{"train:quota-exhausted", 1}, {"predict:transient-error", 1}};
+  PlatformCampaignStats google;
+  google.platform = "Google";
+  google.cells_total = 2;
+  google.cells_ok = 1;
+  google.cells_deferred = 1;
+  google.service.requests = 3;
+  google.service.uploads = 1;
+  google.service.trainings = 1;
+  google.service.predictions = 30;
+  google.service.unavailable = 2;
+  google.service.train_cpu_seconds = 0.01;
+  google.service.predict_cpu_seconds = 0.002;
+  google.retries = 2;
+  google.breaker_trips = 1;
+  google.backoff_seconds = 3.0;
+  google.outage_seconds = 120.0;
+  google.simulated_seconds = 1.0 / 3.0;
+  report.platforms = {local, google};
+  report.scheduler.schedule = "dynamic";
+  report.scheduler.workers = 2;
+  report.scheduler.sessions = 4;
+  report.scheduler.sessions_stolen = 1;
+  report.scheduler.makespan_seconds = 1.5;
+  report.scheduler.worker_busy_seconds = {1.25, 0.75};
+  report.trace_summary = "tracks=4 spans=12 instants=3";
+  return report;
+}
+
+TEST(CampaignReport, SaveJsonBytesArePinned) {
+  // The generic rendering of the value the TSV pin writes: one object per
+  // platform row keyed by the TSV columns, the scheduler trailer as an
+  // object and the bare trace trailer as a string.
+  const std::string path = ::testing::TempDir() + "/campaign_report_pinned.json";
+  pinned_report().save_json(path);
+  EXPECT_EQ(read_file(path),
+            "{\n"
+            "  \"platforms\": [\n"
+            "    {\"platform\": \"Local\", \"cells_total\": 10, \"cells_ok\": 7, "
+            "\"cells_failed\": 2, \"cells_rejected\": 1, \"cells_deferred\": 0, "
+            "\"cells_restored\": 3, \"requests\": 25, \"uploads\": 1, \"trainings\": 9, "
+            "\"predictions\": 700, \"rate_limited\": 4, \"transient_errors\": 2, "
+            "\"server_errors\": 1, \"unavailable\": 0, \"retries\": 6, \"breaker_trips\": 0, "
+            "\"backoff_sec\": 12.5, \"outage_sec\": 0, \"simulated_sec\": 345.25, "
+            "\"train_cpu_sec\": 0.125, \"predict_cpu_sec\": 0.0625, "
+            "\"failures\": \"predict:transient-error=1;train:quota-exhausted=1\"},\n"
+            "    {\"platform\": \"Google\", \"cells_total\": 2, \"cells_ok\": 1, "
+            "\"cells_failed\": 0, \"cells_rejected\": 0, \"cells_deferred\": 1, "
+            "\"cells_restored\": 0, \"requests\": 3, \"uploads\": 1, \"trainings\": 1, "
+            "\"predictions\": 30, \"rate_limited\": 0, \"transient_errors\": 0, "
+            "\"server_errors\": 0, \"unavailable\": 2, \"retries\": 2, \"breaker_trips\": 1, "
+            "\"backoff_sec\": 3, \"outage_sec\": 120, \"simulated_sec\": 0.3333333333, "
+            "\"train_cpu_sec\": 0.01, \"predict_cpu_sec\": 0.002, \"failures\": \"-\"}\n"
+            "  ],\n"
+            "  \"scheduler\": {\"schedule\": \"dynamic\", \"workers\": 2, \"sessions\": 4, "
+            "\"stolen\": 1, \"makespan_sec\": 1.5, \"busy_sec\": 2, \"imbalance\": 1.25, "
+            "\"worker_busy_sec\": \"1.25;0.75\"},\n"
+            "  \"trace\": \"tracks=4 spans=12 instants=3\"\n"
+            "}\n");
+  // The scheduler trailer has the TSV's gate: no pool, no trailer.
+  CampaignReport unpooled = pinned_report();
+  unpooled.scheduler.workers = 0;
+  std::ostringstream json;
+  unpooled.sidecar().write_json(json);
+  EXPECT_EQ(json.str().find("\"scheduler\""), std::string::npos) << json.str();
   std::remove(path.c_str());
 }
 

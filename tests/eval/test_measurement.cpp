@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <set>
+#include <utility>
 
 #include "data/generators.h"
 
@@ -204,6 +206,33 @@ TEST(MeasurementFingerprint, DistinguishesValuesBeyondSixDigits) {
   b.campaign.breaker.cooldown_seconds = 90.500001;
   EXPECT_NE(fingerprint(a), fingerprint(b));
   EXPECT_NE(fingerprint(a).find(" breaker=3/90.5/2"), std::string::npos) << fingerprint(a);
+}
+
+TEST(MeasurementFingerprint, DistinguishesCorporaOfOneSize) {
+  // The fingerprint used to name the corpus size only, so a cache measured
+  // on one corpus was served for another of the same size (two quick-mode
+  // scales that print alike build different corpora).
+  const auto platforms = make_all_platforms();
+  const MeasurementOptions options;
+  const auto fingerprint = [&](const std::vector<Dataset>& corpus) {
+    return measurement_fingerprint(corpus, platforms, options);
+  };
+  const std::string base = fingerprint(tiny_corpus());
+  EXPECT_EQ(base, fingerprint(tiny_corpus()));
+  std::vector<Dataset> changed = tiny_corpus();
+  changed[1].x()(7, 1) = std::nextafter(changed[1].x()(7, 1), 1e9);
+  EXPECT_NE(fingerprint(changed), base);
+  changed = tiny_corpus();
+  changed[0].y()[3] = 1 - changed[0].y()[3];
+  EXPECT_NE(fingerprint(changed), base);
+  changed = tiny_corpus();
+  changed[0].meta().id = "blob-1";
+  EXPECT_NE(fingerprint(changed), base);
+  changed = tiny_corpus();
+  std::swap(changed[0], changed[1]);
+  EXPECT_NE(fingerprint(changed), base);
+  // The digest is the fingerprint's trailing field, 16 hex digits.
+  EXPECT_EQ(base.size() - base.rfind(" data="), 6u + 16u) << base;
 }
 
 TEST(RunOrLoad, UsesCacheOnSecondCall) {

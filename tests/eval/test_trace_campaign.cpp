@@ -6,6 +6,7 @@
 // report bytes must match the pre-trace format exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -214,21 +215,43 @@ TEST(CampaignTrace, TsvEndsWithTheTraceTrailer) {
   std::remove(path.c_str());
 }
 
-TEST(CampaignTrace, ReportMetricsRegistryCoversAllStats) {
+/// The value under `column` in row `row` of a report sidecar.
+const Sidecar::Value& cell(const Sidecar& s, std::size_t row, const std::string& column) {
+  const auto it = std::find(s.columns.begin(), s.columns.end(), column);
+  return s.rows.at(row).at(static_cast<std::size_t>(it - s.columns.begin()));
+}
+
+TEST(CampaignTrace, ReportSidecarCoversAllStats) {
   MeasurementOptions opt = traced_options(/*trace=*/false);
   opt.threads = 2;
   const CampaignResult result = run_campaign(skewed_corpus(), small_roster(), opt);
-  const MetricsRegistry m = result.report.metrics();
-  ASSERT_FALSE(result.report.platforms.empty());
-  const auto& p = result.report.platforms.front();
-  EXPECT_DOUBLE_EQ(m.value("campaign." + p.platform + ".cells_total"),
-                   static_cast<double>(p.cells_total));
-  EXPECT_DOUBLE_EQ(m.value("campaign." + p.platform + ".service.requests"),
-                   static_cast<double>(p.service.requests));
-  EXPECT_DOUBLE_EQ(m.value("scheduler.sessions"),
-                   static_cast<double>(result.report.scheduler.sessions));
-  // Stable registration order -> stable encoding.
-  EXPECT_EQ(m.encode(), result.report.metrics().encode());
+  const CampaignReport& report = result.report;
+  const Sidecar s = report.sidecar();
+  // One row per platform in roster order, each counter under its column,
+  // then the scheduler trailer; no trace trailer when tracing was off.
+  ASSERT_EQ(s.rows.size(), report.platforms.size());
+  ASSERT_FALSE(s.rows.empty());
+  for (std::size_t i = 0; i < s.rows.size(); ++i) {
+    const PlatformCampaignStats& p = report.platforms[i];
+    EXPECT_EQ(std::get<std::string>(cell(s, i, "platform")), p.platform);
+    EXPECT_EQ(std::get<std::size_t>(cell(s, i, "cells_total")), p.cells_total);
+    EXPECT_EQ(std::get<std::size_t>(cell(s, i, "cells_ok")), p.cells_ok);
+    EXPECT_EQ(std::get<std::size_t>(cell(s, i, "requests")), p.service.requests);
+    EXPECT_EQ(std::get<std::size_t>(cell(s, i, "retries")), p.retries);
+    EXPECT_EQ(std::get<std::size_t>(cell(s, i, "breaker_trips")), p.breaker_trips);
+    EXPECT_EQ(std::get<double>(cell(s, i, "simulated_sec")), p.simulated_seconds);
+  }
+  ASSERT_EQ(s.trailers.size(), 1u);
+  const Sidecar::Trailer& scheduler = s.trailers[0];
+  EXPECT_EQ(scheduler.name, "scheduler");
+  ASSERT_EQ(scheduler.fields.size(), 8u);
+  EXPECT_EQ(scheduler.fields[2].key, "sessions");
+  EXPECT_EQ(std::get<std::size_t>(scheduler.fields[2].value), report.scheduler.sessions);
+  // Built from the report alone: building it again writes the same bytes.
+  std::ostringstream first, second;
+  s.write_json(first);
+  report.sidecar().write_json(second);
+  EXPECT_EQ(first.str(), second.str());
 }
 
 }  // namespace

@@ -12,9 +12,15 @@ namespace {
 
 Dataset small_data(std::uint64_t seed = 1) { return make_blobs(80, 3, 0.8, 5.0, seed); }
 
+/// A service over one platform of a shared roster: platforms are const and
+/// `train` is const, so every service of a test binary can share them.
 MlaasService make_service(ServiceQuota quota = {}, const std::string& platform = "Local",
                           std::uint64_t seed = 1) {
-  return MlaasService(make_platform(platform), quota, seed);
+  static const std::vector<PlatformPtr> roster = make_all_platforms();
+  for (const auto& p : roster) {
+    if (p->name() == platform) return MlaasService(*p, quota, seed);
+  }
+  throw std::invalid_argument("make_service: unknown platform " + platform);
 }
 
 RetryPolicy attempts(int max_attempts) {

@@ -320,11 +320,6 @@ TEST(LatencyHistogramTest, QuantilesAndEncoding) {
   // Monotone in q.
   EXPECT_LE(h.quantile(0.1), h.quantile(0.9));
 
-  LatencyHistogram other;
-  other.record(0.002);
-  other.merge(h);
-  EXPECT_EQ(other.count(), 102u);
-
   // encode() lists only occupied buckets as le_ms=count pairs.
   const std::string enc = h.encode();
   EXPECT_NE(enc.find("=100"), std::string::npos) << enc;
@@ -357,26 +352,17 @@ TEST(LatencyHistogramTest, EmptySingleSampleAndDisjointMerge) {
   EXPECT_NEAR(mid, 0.010, 0.010 * 0.5);
   EXPECT_DOUBLE_EQ(single.mean_seconds(), 0.010);
 
-  // Merge of histograms occupying disjoint bucket ranges: counts, totals,
-  // max and both tails combine; encode() lists both clusters.
-  LatencyHistogram fast;
-  LatencyHistogram slow;
-  for (int i = 0; i < 10; ++i) fast.record(0.001);
-  for (int i = 0; i < 10; ++i) slow.record(10.0);
-  LatencyHistogram merged = fast;
-  merged.merge(slow);
-  EXPECT_EQ(merged.count(), 20u);
-  EXPECT_DOUBLE_EQ(merged.total_seconds(),
-                   fast.total_seconds() + slow.total_seconds());
-  EXPECT_DOUBLE_EQ(merged.max_seconds(), 10.0);
-  EXPECT_LT(merged.quantile(0.25), 0.01);
-  EXPECT_GT(merged.quantile(0.95), 1.0);
-  EXPECT_NE(merged.encode().find(';'), std::string::npos) << merged.encode();
-  // Merging an empty histogram is the identity.
-  LatencyHistogram copy = merged;
-  copy.merge(empty);
-  EXPECT_EQ(copy.encode(), merged.encode());
-  EXPECT_DOUBLE_EQ(copy.quantile(0.5), merged.quantile(0.5));
+  // Two clusters in disjoint bucket ranges: counts, totals, max and both
+  // tails combine; encode() lists both clusters.
+  LatencyHistogram both;
+  for (int i = 0; i < 10; ++i) both.record(0.001);
+  for (int i = 0; i < 10; ++i) both.record(10.0);
+  EXPECT_EQ(both.count(), 20u);
+  EXPECT_DOUBLE_EQ(both.total_seconds(), 10 * 0.001 + 10 * 10.0);
+  EXPECT_DOUBLE_EQ(both.max_seconds(), 10.0);
+  EXPECT_LT(both.quantile(0.25), 0.01);
+  EXPECT_GT(both.quantile(0.95), 1.0);
+  EXPECT_NE(both.encode().find(';'), std::string::npos) << both.encode();
 }
 
 TEST(ServingWorkloadTest, SeededWorkloadIsDeterministic) {
@@ -441,11 +427,116 @@ TEST(ServingReportTest, TsvAndJsonRoundOut) {
   std::stringstream jbuf;
   jbuf << jin.rdbuf();
   const std::string json_text = jbuf.str();
-  EXPECT_NE(json_text.find("\"throughput_rows_per_sec\""), std::string::npos);
-  EXPECT_NE(json_text.find("\"p99\""), std::string::npos);
-  EXPECT_NE(json_text.find("\"tenants\""), std::string::npos);
+  EXPECT_EQ(json_text.rfind("{\n  \"tenants\": [\n    {\"tenant\": ", 0), 0u) << json_text;
+  EXPECT_NE(json_text.find("{\"tenant\": \"TOTAL\", "), std::string::npos);
+  EXPECT_NE(json_text.find("\"p99_ms\": "), std::string::npos);
+  EXPECT_NE(json_text.find("\"serving\": {\"batches\": "), std::string::npos);
+  EXPECT_NE(json_text.find("\"throughput_rows_per_sec\": "), std::string::npos);
+  EXPECT_NE(json_text.find("\"histogram\": \""), std::string::npos);
   std::remove(tsv.c_str());
   std::remove(json.c_str());
+}
+
+TEST(ServingReport, SidecarBytesArePinned) {
+  // Two tenants, every trailer switched on.  The TSV literal is the format
+  // the hand-written writer produced; the JSON is the generic rendering of
+  // the same value.
+  ServingReport report;
+  report.max_batch_rows = 8;
+  TenantServingStats a;
+  a.tenant = "tenant-0";
+  a.requests = 3;
+  a.rows = 5;
+  a.ok = 2;
+  a.failed = 1;
+  TenantServingStats b;
+  b.tenant = "tenant-1";
+  b.requests = 2;
+  b.rows = 2;
+  b.ok = 1;
+  b.rejected = 1;
+  ServingStats& t = report.totals;
+  for (const double s : {0.010, 0.020, 0.5}) {
+    a.latency.record(s);
+    t.latency.record(s);
+  }
+  b.latency.record(0.004);
+  t.latency.record(0.004);
+  report.tenants = {a, b};
+  t.requests = 5;
+  t.rows = 7;
+  t.ok = 3;
+  t.failed = 1;
+  t.rejected = 1;
+  t.batches = 3;
+  t.batched_rows = 7;
+  t.flushed_full = 1;
+  t.flushed_linger = 2;
+  t.cache_hits = 3;
+  t.cache_misses = 2;
+  t.trainings = 2;
+  t.retries = 4;
+  t.rate_limited = 1;
+  t.backoff_seconds = 1.5;
+  t.simulated_seconds = 12.0;
+  t.deadline_missed = 1;
+  t.failovers = 1;
+  t.breaker_gated = 2;
+  t.breaker_trips = 1;
+  t.refused_sleeps = 1;
+  report.resilience = true;
+  report.trace_summary = "tracks=3;spans=10";
+
+  std::ostringstream tsv;
+  report.write_tsv(tsv);
+  EXPECT_EQ(tsv.str(),
+            "tenant\trequests\trows\tok\tfailed\trejected\tmean_ms\tp50_ms\tp95_ms\tp99_ms"
+            "\tmax_ms\n"
+            "tenant-0\t3\t5\t2\t1\t0\t176.6666667\t19.02731384\t430.5389646\t430.5389646\t500\n"
+            "tenant-1\t2\t2\t1\t0\t1\t4\t3.363585661\t3.363585661\t3.363585661\t4\n"
+            "TOTAL\t5\t7\t3\t1\t1\t133.5\t9.51365692\t430.5389646\t430.5389646\t500\n"
+            "# serving\tbatches=3\tmean_batch_rows=2.333333333\toccupancy=0.2916666667\t"
+            "throughput_rows_per_sec=0.5833333333\tsimulated_sec=12\tflushed_full=1\t"
+            "flushed_linger=2\tflushed_forced=0\tcache_hits=3\tcache_misses=2\t"
+            "cache_evictions=0\ttrainings=2\tretries=4\trate_limited=1\tbackoff_sec=1.5\n"
+            "# resilience\tgoodput=0.6\tdeadline_missed=1\tfailovers=1\tdegraded_answers=0\t"
+            "degraded_rejected=0\tbreaker_gated=2\tbreaker_trips=1\trefused_sleeps=1\t"
+            "flushed_deadline=0\n"
+            "# histogram\t4=1;11.31=1;22.63=1;512=1\n"
+            "# trace\ttracks=3;spans=10\n");
+  const std::string path = testing::TempDir() + "serving_report_pinned.json";
+  report.save_json(path);
+  std::ifstream in(path);
+  std::stringstream json;
+  json << in.rdbuf();
+  EXPECT_EQ(json.str(),
+            "{\n"
+            "  \"tenants\": [\n"
+            "    {\"tenant\": \"tenant-0\", \"requests\": 3, \"rows\": 5, \"ok\": 2, "
+            "\"failed\": 1, \"rejected\": 0, \"mean_ms\": 176.6666667, \"p50_ms\": 19.02731384, "
+            "\"p95_ms\": 430.5389646, \"p99_ms\": 430.5389646, \"max_ms\": 500},\n"
+            "    {\"tenant\": \"tenant-1\", \"requests\": 2, \"rows\": 2, \"ok\": 1, "
+            "\"failed\": 0, \"rejected\": 1, \"mean_ms\": 4, \"p50_ms\": 3.363585661, "
+            "\"p95_ms\": 3.363585661, "
+            "\"p99_ms\": 3.363585661, \"max_ms\": 4},\n"
+            "    {\"tenant\": \"TOTAL\", \"requests\": 5, \"rows\": 7, \"ok\": 3, "
+            "\"failed\": 1, \"rejected\": 1, \"mean_ms\": 133.5, \"p50_ms\": 9.51365692, "
+            "\"p95_ms\": 430.5389646, "
+            "\"p99_ms\": 430.5389646, \"max_ms\": 500}\n"
+            "  ],\n"
+            "  \"serving\": {\"batches\": 3, \"mean_batch_rows\": 2.333333333, "
+            "\"occupancy\": 0.2916666667, \"throughput_rows_per_sec\": 0.5833333333, "
+            "\"simulated_sec\": 12, \"flushed_full\": 1, \"flushed_linger\": 2, "
+            "\"flushed_forced\": 0, \"cache_hits\": 3, \"cache_misses\": 2, "
+            "\"cache_evictions\": 0, \"trainings\": 2, \"retries\": 4, \"rate_limited\": 1, "
+            "\"backoff_sec\": 1.5},\n"
+            "  \"resilience\": {\"goodput\": 0.6, \"deadline_missed\": 1, \"failovers\": 1, "
+            "\"degraded_answers\": 0, \"degraded_rejected\": 0, \"breaker_gated\": 2, "
+            "\"breaker_trips\": 1, \"refused_sleeps\": 1, \"flushed_deadline\": 0},\n"
+            "  \"histogram\": \"4=1;11.31=1;22.63=1;512=1\",\n"
+            "  \"trace\": \"tracks=3;spans=10\"\n"
+            "}\n");
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -112,20 +113,42 @@ TEST(ServingTrace, TracingOffLeavesReportBytesIdentical) {
   EXPECT_NE(on_tsv.str(), off_tsv.str());
 }
 
-TEST(ServingTrace, ReportMetricsRegistryCoversTotalsAndTenants) {
+/// The value under `column` in row `row` of a report sidecar.
+const Sidecar::Value& cell(const Sidecar& s, std::size_t row, const std::string& column) {
+  const auto it = std::find(s.columns.begin(), s.columns.end(), column);
+  return s.rows.at(row).at(static_cast<std::size_t>(it - s.columns.begin()));
+}
+
+TEST(ServingTrace, ReportSidecarCoversTotalsAndTenants) {
   const ServingWorkloadResult run =
       run_serving_workload(storm_tenants(), storm_options(/*trace=*/false));
-  const MetricsRegistry m = run.report.metrics();
-  EXPECT_DOUBLE_EQ(m.value("serving.requests"),
-                   static_cast<double>(run.report.totals.requests));
-  EXPECT_DOUBLE_EQ(m.value("serving.batches"),
-                   static_cast<double>(run.report.totals.batches));
-  ASSERT_FALSE(run.report.tenants.empty());
-  const auto& t0 = run.report.tenants.front();
-  EXPECT_DOUBLE_EQ(m.value("tenant." + t0.tenant + ".requests"),
-                   static_cast<double>(t0.requests));
-  // Registration order is stable, so the encoding is too.
-  EXPECT_EQ(m.encode(), run.report.metrics().encode());
+  const ServingReport& report = run.report;
+  const Sidecar s = report.sidecar();
+  // Tenant rows in open order, then TOTAL; the router counters in the
+  // serving trailer; the storm's resilience trailer; the bare histogram.
+  ASSERT_EQ(s.rows.size(), report.tenants.size() + 1);
+  for (std::size_t i = 0; i < report.tenants.size(); ++i) {
+    const TenantServingStats& t = report.tenants[i];
+    EXPECT_EQ(std::get<std::string>(cell(s, i, "tenant")), t.tenant);
+    EXPECT_EQ(std::get<std::size_t>(cell(s, i, "requests")), t.requests);
+    EXPECT_EQ(std::get<std::size_t>(cell(s, i, "ok")), t.ok);
+  }
+  const std::size_t total = report.tenants.size();
+  EXPECT_EQ(std::get<std::string>(cell(s, total, "tenant")), "TOTAL");
+  EXPECT_EQ(std::get<std::size_t>(cell(s, total, "requests")), report.totals.requests);
+  ASSERT_EQ(s.trailers.size(), 3u);
+  EXPECT_EQ(s.trailers[0].name, "serving");
+  EXPECT_EQ(s.trailers[0].fields[0].key, "batches");
+  EXPECT_EQ(std::get<std::size_t>(s.trailers[0].fields[0].value), report.totals.batches);
+  EXPECT_EQ(s.trailers[1].name, "resilience");
+  EXPECT_EQ(s.trailers[2].name, "histogram");
+  EXPECT_EQ(std::get<std::string>(s.trailers[2].fields.at(0).value),
+            report.totals.latency.encode());
+  // Built from the report alone: building it again writes the same bytes.
+  std::ostringstream first, second;
+  s.write_json(first);
+  report.sidecar().write_json(second);
+  EXPECT_EQ(first.str(), second.str());
 }
 
 // -- Satellite: CLI-facing knob validation (mirrors the --threads fix).

@@ -4,6 +4,9 @@
 
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "eval/measurement.h"
@@ -149,6 +152,107 @@ TEST(SidecarIo, CheckedWriteKeepsTheReportBytes) {
             "Local\t2\t2\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t-\n"
             "# scheduler\tschedule=dynamic\tworkers=1\tsessions=0\tstolen=0\tmakespan_sec=0\t"
             "busy_sec=0\timbalance=1\tworker_busy_sec=-\n");
+}
+
+// ---- Sidecar: the one encoder behind every report ----
+
+std::string tsv_of(const Sidecar& sidecar) {
+  std::ostringstream out;
+  sidecar.write_tsv(out);
+  return out.str();
+}
+
+std::string json_of(const Sidecar& sidecar) {
+  std::ostringstream out;
+  sidecar.write_json(out);
+  return out.str();
+}
+
+TEST(Sidecar, EmptyTableWritesHeaderAndEmptyArray) {
+  Sidecar s;
+  s.rows_name = "rows";
+  s.columns = {"name", "count"};
+  EXPECT_EQ(tsv_of(s), "name\tcount\n");
+  EXPECT_EQ(json_of(s), "{\n  \"rows\": []\n}\n");
+}
+
+TEST(Sidecar, TableAndTrailersRenderTheSameValues) {
+  Sidecar s;
+  s.rows_name = "rows";
+  s.columns = {"name", "count", "share"};
+  s.rows = {{std::string("a"), std::size_t{3}, 1.0 / 3.0},
+            {std::string("b"), std::size_t{0}, 2.5}};
+  s.trailers = {{"totals", {{"count", std::size_t{3}}, {"mode", std::string("x")}}}};
+  EXPECT_EQ(tsv_of(s),
+            "name\tcount\tshare\n"
+            "a\t3\t0.3333333333\n"
+            "b\t0\t2.5\n"
+            "# totals\tcount=3\tmode=x\n");
+  EXPECT_EQ(json_of(s),
+            "{\n"
+            "  \"rows\": [\n"
+            "    {\"name\": \"a\", \"count\": 3, \"share\": 0.3333333333},\n"
+            "    {\"name\": \"b\", \"count\": 0, \"share\": 2.5}\n"
+            "  ],\n"
+            "  \"totals\": {\"count\": 3, \"mode\": \"x\"}\n"
+            "}\n");
+}
+
+TEST(Sidecar, BareTrailerIsWrittenWithoutKey) {
+  Sidecar s;
+  s.rows_name = "rows";
+  s.columns = {"name"};
+  s.trailers = {{"trace", {{"", std::string("tracks=1;spans=2")}}}};
+  EXPECT_EQ(tsv_of(s), "name\n# trace\ttracks=1;spans=2\n");
+  EXPECT_EQ(json_of(s), "{\n  \"rows\": [],\n  \"trace\": \"tracks=1;spans=2\"\n}\n");
+}
+
+TEST(Sidecar, JsonEscapesKeysAndValues) {
+  Sidecar s;
+  s.rows_name = "ro\"ws";
+  s.columns = {"na\tme"};
+  s.rows = {{std::string("Bad\x01Name\r")}};
+  s.trailers = {{"tr\\ail", {{"k\ney", std::string("v\"al")}}}};
+  const std::string json = json_of(s);
+  EXPECT_NE(json.find("\"ro\\\"ws\": ["), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"na\\tme\": \"Bad\\u0001Name\\r\"}"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"tr\\\\ail\": {\"k\\ney\": \"v\\\"al\"}"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+  EXPECT_EQ(json.find('\r'), std::string::npos);
+  EXPECT_EQ(json.find('\t'), std::string::npos);
+}
+
+TEST(Sidecar, NonFiniteDoublesAreNullInJson) {
+  Sidecar s;
+  s.rows_name = "rows";
+  s.columns = {"ratio"};
+  s.rows = {{std::numeric_limits<double>::quiet_NaN()},
+            {std::numeric_limits<double>::infinity()}};
+  EXPECT_EQ(tsv_of(s), "ratio\nnan\ninf\n");
+  EXPECT_EQ(json_of(s),
+            "{\n  \"rows\": [\n    {\"ratio\": null},\n    {\"ratio\": null}\n  ]\n}\n");
+}
+
+TEST(Sidecar, RowWidthMustMatchTheColumns) {
+  Sidecar s;
+  s.rows_name = "rows";
+  s.columns = {"a", "b"};
+  s.rows = {{std::string("only one")}};
+  std::ostringstream out;
+  EXPECT_THROW(s.write_tsv(out), std::logic_error);
+  EXPECT_THROW(s.write_json(out), std::logic_error);
+}
+
+TEST(Sidecar, WritersLeaveTheStreamPrecision) {
+  Sidecar s;
+  s.rows_name = "rows";
+  s.columns = {"x"};
+  s.rows = {{1.0 / 3.0}};
+  std::ostringstream out;
+  out.precision(3);
+  s.write_tsv(out);
+  s.write_json(out);
+  EXPECT_EQ(out.precision(), 3);
 }
 
 }  // namespace

@@ -282,7 +282,8 @@ int cmd_serve_bench(const CliFlags& flags) {
     throw std::invalid_argument("--clients must be >= 1, got " + std::to_string(clients));
   }
   options.clients = static_cast<std::size_t>(clients);
-  options.quota_profile = flags.get_or("quota-profile", "default");
+  options.quota_profile =
+      profile_or(flags, "quota-profile", options.quota_profile, quota_profile_names());
   const long long batch = flags.int_or("batch", 64);
   if (batch < 1) {
     throw std::invalid_argument("--batch must be >= 1, got " + std::to_string(batch));
@@ -302,7 +303,8 @@ int cmd_serve_bench(const CliFlags& flags) {
   }
   options.serving.max_pending_rows = static_cast<std::size_t>(max_pending);
   options.serving.fault_rate = flags.double_or("fault-rate", 0.0);
-  options.serving.chaos_profile = flags.get_or("chaos-profile", "none");
+  options.serving.chaos_profile =
+      profile_or(flags, "chaos-profile", options.serving.chaos_profile, chaos_profile_names());
   options.serving.deadline_seconds = flags.double_or("deadline-ms", 0.0) / 1000.0;
   options.serving.fallback_platform = flags.get_or("fallback", "");
   options.serving.serve_last_known_good = flags.bool_or("last-known-good", false);

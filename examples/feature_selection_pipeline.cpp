@@ -52,7 +52,8 @@ int main() {
       ParamSpec::number("C", 1.0, 1e-4, 1e4),
       ParamSpec::categorical("penalty", {"l2", "l1"}),
   };
-  const GridSearchResult result = grid_search(spec, split.train, 5, 3);
+  const GridSearchResult result =
+      grid_search(spec, split.train, GridSearchOptions{.cv_folds = 5}, 3);
   std::cout << "PARA dimension: grid search over " << result.n_configs
             << " configurations\n  best params: " << result.best_params.to_string()
             << "\n  cross-validated F: " << fmt(result.best_cv_f_score) << "\n";

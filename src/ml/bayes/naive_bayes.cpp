@@ -60,9 +60,9 @@ void GaussianNaiveBayes::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> GaussianNaiveBayes::predict_score(const Matrix& x) const {
-  std::vector<double> out(x.rows(), single_class_score());
-  if (single_class()) return out;
+void GaussianNaiveBayes::predict_score_into(const Matrix& x, std::vector<double>& out) const {
+  if (fill_single_class(x.rows(), out)) return;
+  out.resize(x.rows());
   const std::size_t d = x.cols();
   for (std::size_t r = 0; r < x.rows(); ++r) {
     double log_like[2];
@@ -77,7 +77,6 @@ std::vector<double> GaussianNaiveBayes::predict_score(const Matrix& x) const {
     }
     out[r] = sigmoid(log_like[1] - log_like[0]);
   }
-  return out;
 }
 
 

@@ -16,7 +16,7 @@ class GaussianNaiveBayes final : public Classifier {
   explicit GaussianNaiveBayes(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
+  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "naive_bayes"; }
   bool is_linear() const override { return true; }
 

@@ -17,14 +17,16 @@ void Classifier::load_base(std::istream& in) {
   single_class_ = flag != 0;
 }
 
-void Classifier::predict_score_into(const Matrix& x, std::vector<double>& out) const {
-  out = predict_score(x);
+std::vector<double> Classifier::predict_score(const Matrix& x) const {
+  std::vector<double> out;
+  predict_score_into(x, out);
+  return out;
 }
 
 std::vector<int> Classifier::predict(const Matrix& x) const {
-  const auto scores = predict_score(x);
-  std::vector<int> labels(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) labels[i] = scores[i] > 0.5 ? 1 : 0;
+  std::vector<double> scores;
+  std::vector<int> labels;
+  predict_into(x, scores, labels);
   return labels;
 }
 
@@ -39,7 +41,7 @@ void Classifier::predict_into(const Matrix& x, std::vector<double>& score_scratc
 
 bool Classifier::fill_single_class(std::size_t rows, std::vector<double>& out) const {
   if (!single_class_) return false;
-  out.assign(rows, single_class_score());
+  out.assign(rows, single_class_label_ == 1 ? 1.0 : 0.0);
   return true;
 }
 

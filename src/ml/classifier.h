@@ -5,10 +5,11 @@
 // classifier declares whether its decision boundary is linear — the family
 // label used throughout §6 of the paper (Table 5).
 //
-// Each classifier has one predict path.  The per-row scoring loops its
-// batched kernels replaced live on as test-only oracles
-// (tests/oracle/predict.h), which the equivalence suites compare against
-// bit for bit.
+// Each classifier has one predict path: predict_score_into() is the only
+// virtual scorer, and predict_score(), predict() and predict_into() are
+// base-class wrappers over it.  The per-row scoring loops its batched
+// kernels replaced live on as test-only oracles (tests/oracle/predict.h),
+// which the equivalence suites compare against bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -30,20 +31,17 @@ class Classifier {
   /// tolerate single-class training sets (predict the constant class).
   virtual void fit(const Matrix& x, const std::vector<int>& y) = 0;
 
-  /// P(class == 1)-like score in [0, 1] per row.  Must only be called after
-  /// fit().
-  virtual std::vector<double> predict_score(const Matrix& x) const = 0;
+  /// P(class == 1)-like score in [0, 1] per row, written into `out`
+  /// (resized to x.rows()).  A caller that keeps `out` alive across calls
+  /// predicts repeatedly without reallocating.  Must only be called after
+  /// fit().  The one scorer every classifier implements.
+  virtual void predict_score_into(const Matrix& x, std::vector<double>& out) const = 0;
 
-  /// Scores written into `out` (resized to x.rows()).  The serving-path
-  /// variant of predict_score(): a caller that keeps `out` alive across
-  /// calls predicts repeatedly without reallocating.  Scores are identical
-  /// (bit for bit) to predict_score().  The default forwards to
-  /// predict_score(); optimized classifiers override this with their real
-  /// kernel and implement predict_score() on top of it.
-  virtual void predict_score_into(const Matrix& x, std::vector<double>& out) const;
+  /// predict_score_into() into a fresh vector.
+  std::vector<double> predict_score(const Matrix& x) const;
 
-  /// Hard labels; default thresholds score at 0.5.
-  virtual std::vector<int> predict(const Matrix& x) const;
+  /// Hard labels: score > 0.5.
+  std::vector<int> predict(const Matrix& x) const;
 
   /// predict() with caller-owned score scratch: `labels` is resized and
   /// filled, `score_scratch` is reused across calls.  Labels are identical
@@ -65,10 +63,9 @@ class Classifier {
 
  protected:
   /// Shared single-class handling: returns true (and records the class) if
-  /// y is constant; predict_score then returns that constant.
+  /// y is constant; fill_single_class() then scores that constant.
   bool check_single_class(const std::vector<int>& y);
   bool single_class() const { return single_class_; }
-  double single_class_score() const { return single_class_label_ == 1 ? 1.0 : 0.0; }
 
   /// Shared predict_score_into() prologue: when the training set was
   /// single-class, fills `out` with the constant score and returns true.

@@ -22,7 +22,6 @@ class RbfSvm final : public Classifier {
   explicit RbfSvm(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
   void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "rbf_svm"; }
   bool is_linear() const override { return false; }

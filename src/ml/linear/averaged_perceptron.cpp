@@ -1,10 +1,7 @@
 #include "ml/linear/averaged_perceptron.h"
 
-#include "ml/serialize.h"
-
 #include <algorithm>
 
-#include "linalg/dense_kernels.h"
 #include "linalg/vector_ops.h"
 #include "ml/feature/scalers.h"
 #include "util/rng.h"
@@ -18,9 +15,7 @@ AveragedPerceptron::AveragedPerceptron(const ParamMap& params, std::uint64_t see
 }
 
 void AveragedPerceptron::fit(const Matrix& x, const std::vector<int>& y) {
-  w_.assign(x.cols(), 0.0);
-  b_ = 0.0;
-  if (check_single_class(y)) return;
+  if (start_fit(x.cols(), y)) return;
 
   StandardScaler scaler;
   scaler.fit(x, y);
@@ -55,42 +50,8 @@ void AveragedPerceptron::fit(const Matrix& x, const std::vector<int>& y) {
   }
 
   const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, updates));
-  const auto& mu = scaler.means();
-  const auto& sd = scaler.stds();
-  w_.resize(d);
-  b_ = b_sum * inv;
-  for (std::size_t c = 0; c < d; ++c) {
-    const double wc = w_sum[c] * inv;
-    w_[c] = wc / sd[c];
-    b_ -= wc * mu[c] / sd[c];
-  }
-}
-
-std::vector<double> AveragedPerceptron::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void AveragedPerceptron::predict_score_into(const Matrix& x,
-                               std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
-  out.resize(x.rows());
-  matvec_into(x, w_, out);  // bit-identical to x.multiply(w_), no temporary
-  for (double& v : out) v = sigmoid(v + b_);
-}
-
-
-void AveragedPerceptron::save(std::ostream& out) const {
-  save_base(out);
-  model_io::write_vec(out, w_);
-  model_io::write_double(out, b_);
-}
-
-void AveragedPerceptron::load(std::istream& in) {
-  load_base(in);
-  w_ = model_io::read_vec(in);
-  b_ = model_io::read_double(in);
+  for (double& v : w_sum) v *= inv;
+  set_from_standardized(w_sum, b_sum * inv, scaler);
 }
 
 }  // namespace mlaas

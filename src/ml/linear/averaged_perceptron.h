@@ -6,32 +6,21 @@
 // which gives large-margin-like behaviour on separable data.
 #pragma once
 
-#include "ml/classifier.h"
+#include "ml/linear/linear_model.h"
 
 namespace mlaas {
 
-class AveragedPerceptron final : public Classifier {
+class AveragedPerceptron final : public LinearModel {
  public:
   explicit AveragedPerceptron(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "averaged_perceptron"; }
-  bool is_linear() const override { return true; }
-
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
-
-  const std::vector<double>& weights() const { return w_; }
 
  private:
   double learning_rate_;
   long long max_iter_;
   std::uint64_t seed_;
-
-  std::vector<double> w_;
-  double b_ = 0.0;
 };
 
 }  // namespace mlaas

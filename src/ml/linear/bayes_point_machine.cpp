@@ -1,27 +1,24 @@
 #include "ml/linear/bayes_point_machine.h"
 
-#include "ml/serialize.h"
-
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/dense_kernels.h"
 #include "linalg/vector_ops.h"
 #include "ml/feature/scalers.h"
 #include "util/rng.h"
 
 namespace mlaas {
 
+// Margins are scaled by 4 before the sigmoid so the committee average (unit
+// norm) still produces confident scores.
 BayesPointMachine::BayesPointMachine(const ParamMap& params, std::uint64_t seed)
-    : seed_(seed) {
+    : LinearModel(4.0), seed_(seed) {
   training_iterations_ = std::clamp<long long>(params.get_int("training_iterations", 30), 1, 500);
   committee_size_ = static_cast<int>(std::clamp<long long>(params.get_int("committee_size", 9), 1, 64));
 }
 
 void BayesPointMachine::fit(const Matrix& x, const std::vector<int>& y) {
-  w_.assign(x.cols(), 0.0);
-  b_ = 0.0;
-  if (check_single_class(y)) return;
+  if (start_fit(x.cols(), y)) return;
 
   StandardScaler scaler;
   scaler.fit(x, y);
@@ -61,43 +58,7 @@ void BayesPointMachine::fit(const Matrix& x, const std::vector<int>& y) {
     }
   }
 
-  const auto& mu = scaler.means();
-  const auto& sd = scaler.stds();
-  w_.resize(d);
-  b_ = b_avg;
-  for (std::size_t c = 0; c < d; ++c) {
-    w_[c] = w_avg[c] / sd[c];
-    b_ -= w_avg[c] * mu[c] / sd[c];
-  }
-}
-
-std::vector<double> BayesPointMachine::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void BayesPointMachine::predict_score_into(const Matrix& x,
-                                           std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
-  out.resize(x.rows());
-  matvec_into(x, w_, out);  // bit-identical to x.multiply(w_), no temporary
-  // Scale margins before the sigmoid so the committee average (unit norm)
-  // still produces confident scores.
-  for (double& v : out) v = sigmoid(4.0 * (v + b_));
-}
-
-
-void BayesPointMachine::save(std::ostream& out) const {
-  save_base(out);
-  model_io::write_vec(out, w_);
-  model_io::write_double(out, b_);
-}
-
-void BayesPointMachine::load(std::istream& in) {
-  load_base(in);
-  w_ = model_io::read_vec(in);
-  b_ = model_io::read_double(in);
+  set_from_standardized(w_avg, b_avg, scaler);
 }
 
 }  // namespace mlaas

@@ -9,30 +9,21 @@
 // Parameters: training_iterations (default 30): epochs per committee member.
 #pragma once
 
-#include "ml/classifier.h"
+#include "ml/linear/linear_model.h"
 
 namespace mlaas {
 
-class BayesPointMachine final : public Classifier {
+class BayesPointMachine final : public LinearModel {
  public:
   explicit BayesPointMachine(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "bayes_point_machine"; }
-  bool is_linear() const override { return true; }
-
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
  private:
   long long training_iterations_;
   int committee_size_;
   std::uint64_t seed_;
-
-  std::vector<double> w_;
-  double b_ = 0.0;
 };
 
 }  // namespace mlaas

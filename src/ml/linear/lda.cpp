@@ -1,11 +1,8 @@
 #include "ml/linear/lda.h"
 
-#include "ml/serialize.h"
-
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/dense_kernels.h"
 #include "linalg/vector_ops.h"
 #include "util/rng.h"
 
@@ -16,9 +13,7 @@ LinearDiscriminantAnalysis::LinearDiscriminantAnalysis(const ParamMap& params, s
 }
 
 void LinearDiscriminantAnalysis::fit(const Matrix& x, const std::vector<int>& y) {
-  w_.assign(x.cols(), 0.0);
-  b_ = 0.0;
-  if (check_single_class(y)) return;
+  if (start_fit(x.cols(), y)) return;
 
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
@@ -68,33 +63,6 @@ void LinearDiscriminantAnalysis::fit(const Matrix& x, const std::vector<int>& y)
   const double m1 = dot(w_, mean1);
   const double prior = std::log(static_cast<double>(n1) / static_cast<double>(n0));
   b_ = -(m0 + m1) / 2.0 + prior;
-}
-
-std::vector<double> LinearDiscriminantAnalysis::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void LinearDiscriminantAnalysis::predict_score_into(const Matrix& x,
-                               std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
-  out.resize(x.rows());
-  matvec_into(x, w_, out);  // bit-identical to x.multiply(w_), no temporary
-  for (double& v : out) v = sigmoid(v + b_);
-}
-
-
-void LinearDiscriminantAnalysis::save(std::ostream& out) const {
-  save_base(out);
-  model_io::write_vec(out, w_);
-  model_io::write_double(out, b_);
-}
-
-void LinearDiscriminantAnalysis::load(std::istream& in) {
-  load_base(in);
-  w_ = model_io::read_vec(in);
-  b_ = model_io::read_double(in);
 }
 
 }  // namespace mlaas

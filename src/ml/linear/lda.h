@@ -8,28 +8,19 @@
 //              tiny ridge for numerical safety)
 #pragma once
 
-#include "ml/classifier.h"
+#include "ml/linear/linear_model.h"
 
 namespace mlaas {
 
-class LinearDiscriminantAnalysis final : public Classifier {
+class LinearDiscriminantAnalysis final : public LinearModel {
  public:
   explicit LinearDiscriminantAnalysis(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "lda"; }
-  bool is_linear() const override { return true; }
-
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
  private:
   double shrinkage_;
-
-  std::vector<double> w_;
-  double b_ = 0.0;
 };
 
 }  // namespace mlaas

@@ -1,11 +1,8 @@
 #include "ml/linear/linear_svm.h"
 
-#include "ml/serialize.h"
-
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/dense_kernels.h"
 #include "linalg/vector_ops.h"
 #include "ml/feature/scalers.h"
 #include "util/rng.h"
@@ -21,9 +18,7 @@ LinearSvm::LinearSvm(const ParamMap& params, std::uint64_t seed) : seed_(seed) {
 }
 
 void LinearSvm::fit(const Matrix& x, const std::vector<int>& y) {
-  w_.assign(x.cols(), 0.0);
-  b_ = 0.0;
-  if (check_single_class(y)) return;
+  if (start_fit(x.cols(), y)) return;
 
   StandardScaler scaler;
   scaler.fit(x, y);
@@ -59,41 +54,7 @@ void LinearSvm::fit(const Matrix& x, const std::vector<int>& y) {
     }
   }
 
-  const auto& mu = scaler.means();
-  const auto& sd = scaler.stds();
-  w_.resize(d);
-  b_ = b;
-  for (std::size_t c = 0; c < d; ++c) {
-    w_[c] = w[c] / sd[c];
-    b_ -= w[c] * mu[c] / sd[c];
-  }
-}
-
-std::vector<double> LinearSvm::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void LinearSvm::predict_score_into(const Matrix& x,
-                               std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
-  out.resize(x.rows());
-  matvec_into(x, w_, out);  // bit-identical to x.multiply(w_), no temporary
-  for (double& v : out) v = sigmoid(v + b_);
-}
-
-
-void LinearSvm::save(std::ostream& out) const {
-  save_base(out);
-  model_io::write_vec(out, w_);
-  model_io::write_double(out, b_);
-}
-
-void LinearSvm::load(std::istream& in) {
-  load_base(in);
-  w_ = model_io::read_vec(in);
-  b_ = model_io::read_double(in);
+  set_from_standardized(w, b, scaler);
 }
 
 }  // namespace mlaas

@@ -11,34 +11,22 @@
 // can treat it like a probability.
 #pragma once
 
-#include "ml/classifier.h"
+#include "ml/linear/linear_model.h"
 
 namespace mlaas {
 
-class LinearSvm final : public Classifier {
+class LinearSvm final : public LinearModel {
  public:
   explicit LinearSvm(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "linear_svm"; }
-  bool is_linear() const override { return true; }
-
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
-
-  const std::vector<double>& weights() const { return w_; }
-  double intercept() const { return b_; }
 
  private:
   double lambda_;
   bool squared_hinge_;
   long long max_iter_;
   std::uint64_t seed_;
-
-  std::vector<double> w_;
-  double b_ = 0.0;
 };
 
 }  // namespace mlaas

@@ -18,25 +18,16 @@
 // inputs.
 #pragma once
 
-#include "ml/classifier.h"
+#include "ml/linear/linear_model.h"
 
 namespace mlaas {
 
-class LogisticRegression final : public Classifier {
+class LogisticRegression final : public LinearModel {
  public:
   explicit LogisticRegression(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "logistic_regression"; }
-  bool is_linear() const override { return true; }
-
-  void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
-
-  const std::vector<double>& weights() const { return w_; }
-  double intercept() const { return b_; }
 
  private:
   std::string penalty_;
@@ -47,9 +38,6 @@ class LogisticRegression final : public Classifier {
   bool shuffle_;
   double tolerance_;
   std::uint64_t seed_;
-
-  std::vector<double> w_;
-  double b_ = 0.0;
 };
 
 }  // namespace mlaas

@@ -78,12 +78,4 @@ GridSearchResult grid_search(const ClassifierGridSpec& spec, const Dataset& trai
   return result;
 }
 
-GridSearchResult grid_search(const ClassifierGridSpec& spec, const Dataset& train, int cv_folds,
-                             std::uint64_t seed, std::size_t max_configs) {
-  GridSearchOptions options;
-  options.cv_folds = cv_folds;
-  options.max_configs = max_configs;
-  return grid_search(spec, train, options, seed);
-}
-
 }  // namespace mlaas

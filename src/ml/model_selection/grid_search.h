@@ -49,8 +49,4 @@ struct GridSearchResult {
 GridSearchResult grid_search(const ClassifierGridSpec& spec, const Dataset& train,
                              const GridSearchOptions& options, std::uint64_t seed);
 
-/// Back-compat convenience: serial search with fold/state reuse on.
-GridSearchResult grid_search(const ClassifierGridSpec& spec, const Dataset& train, int cv_folds,
-                             std::uint64_t seed, std::size_t max_configs = 0);
-
 }  // namespace mlaas

@@ -49,12 +49,6 @@ void KNearestNeighbors::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> KNearestNeighbors::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
 void KNearestNeighbors::predict_score_into(const Matrix& x,
                                            std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;

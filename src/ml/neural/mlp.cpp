@@ -209,12 +209,6 @@ void MultiLayerPerceptron::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> MultiLayerPerceptron::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
 void MultiLayerPerceptron::predict_score_into(const Matrix& x,
                                               std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;

@@ -35,8 +35,7 @@ void RegressionTree::fit(const Matrix& x, const std::vector<double>& y) {
   check_sizes(x, y, "RegressionTree");
   tree_ = TreeModel();
   tree_.fit(x, y, {}, regression_options(params_, x.cols(), seed_));
-  flat_.clear();
-  flat_.add_tree(tree_);
+  flat_ = FlatForest({&tree_, 1});
 }
 
 std::vector<double> RegressionTree::predict(const Matrix& x) const {
@@ -58,29 +57,15 @@ void RandomForestRegressor::fit(const Matrix& x, const std::vector<double>& y) {
   if (!params_.contains("max_features")) tree_params.set("max_features", std::string("sqrt"));
   TreeOptions opt = regression_options(tree_params, x.cols(), seed_);
 
-  const std::size_t n = x.rows();
   trees_.resize(n_estimators);
-  std::vector<std::size_t> boot_rows(n);
-  std::vector<double> boot_targets(n);
   TreeWorkspace workspace;  // column cache + presorted orders shared by all trees
-  for (std::size_t t = 0; t < n_estimators; ++t) {
-    opt.seed = derive_seed(seed_, "rfr-" + std::to_string(t));
-    Rng rng(derive_seed(opt.seed, "bootstrap"));
-    for (std::size_t i = 0; i < n; ++i) {
-      boot_rows[i] = rng.index(n);
-      boot_targets[i] = y[boot_rows[i]];
-    }
-    train_tree(trees_[t], workspace, x, boot_targets, {}, opt, boot_rows);
-  }
-  flat_.clear();
-  for (const auto& tree : trees_) flat_.add_tree(tree);
+  train_forest(trees_, workspace, x, y, opt, seed_, "rfr-", /*bootstrap=*/true);
+  flat_ = FlatForest(trees_);
 }
 
 std::vector<double> RandomForestRegressor::predict(const Matrix& x) const {
-  std::vector<double> out(x.rows(), 0.0);
-  flat_.predict_accumulate(x, 1.0, out);
-  const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, trees_.size()));
-  for (double& v : out) v *= inv;
+  std::vector<double> out;
+  flat_.predict_mean(x, out);
   return out;
 }
 
@@ -118,8 +103,7 @@ void BoostedTreesRegressor::fit(const Matrix& x, const std::vector<double>& y) {
     tree.predict_accumulate(x, learning_rate_, raw);
     trees_.push_back(std::move(tree));
   }
-  flat_.clear();
-  for (const auto& tree : trees_) flat_.add_tree(tree);
+  flat_ = FlatForest(trees_);
 }
 
 std::vector<double> BoostedTreesRegressor::predict(const Matrix& x) const {

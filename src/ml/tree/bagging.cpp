@@ -67,18 +67,9 @@ void BaggedTrees::rebuild_flat() {
   for (const auto& member : members_) flat_.add_tree(member.tree, member.features);
 }
 
-std::vector<double> BaggedTrees::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
 void BaggedTrees::predict_score_into(const Matrix& x, std::vector<double>& out) const {
   if (fill_single_class(x.rows(), out)) return;
-  out.assign(x.rows(), 0.0);
-  flat_.predict_accumulate(x, 1.0, out);
-  const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, members_.size()));
-  for (double& v : out) v *= inv;
+  flat_.predict_mean(x, out);
 }
 
 void BaggedTrees::save(std::ostream& out) const {

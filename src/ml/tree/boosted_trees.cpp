@@ -60,18 +60,7 @@ void BoostedDecisionTrees::fit(const Matrix& x, const std::vector<int>& y) {
     tree.predict_accumulate(x, learning_rate_, raw);
     trees_.push_back(std::move(tree));
   }
-  rebuild_flat();
-}
-
-void BoostedDecisionTrees::rebuild_flat() {
-  flat_.clear();
-  for (const auto& tree : trees_) flat_.add_tree(tree);
-}
-
-std::vector<double> BoostedDecisionTrees::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
+  flat_ = FlatForest(trees_);
 }
 
 void BoostedDecisionTrees::predict_score_into(const Matrix& x,
@@ -88,18 +77,15 @@ void BoostedDecisionTrees::save(std::ostream& out) const {
   save_base(out);
   model_io::write_double(out, learning_rate_);
   model_io::write_double(out, base_score_);
-  model_io::write_int(out, static_cast<long long>(trees_.size()));
-  for (const auto& tree : trees_) tree.save(out);
+  save_trees(out, trees_);
 }
 
 void BoostedDecisionTrees::load(std::istream& in) {
   load_base(in);
   learning_rate_ = model_io::read_double(in);
   base_score_ = model_io::read_double(in);
-  const std::size_t count = model_io::read_count(in, "boosted_trees tree count");
-  trees_.clear();
-  for (std::size_t t = 0; t < count; ++t) trees_.emplace_back().load(in);
-  rebuild_flat();
+  trees_ = load_trees(in, "boosted_trees tree count");
+  flat_ = FlatForest(trees_);
 }
 
 }  // namespace mlaas

@@ -24,7 +24,6 @@ class BoostedDecisionTrees final : public Classifier {
   explicit BoostedDecisionTrees(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
   void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "boosted_trees"; }
   bool is_linear() const override { return false; }
@@ -35,8 +34,6 @@ class BoostedDecisionTrees final : public Classifier {
   std::size_t tree_count() const { return trees_.size(); }
 
  private:
-  void rebuild_flat();
-
   ParamMap params_;
   std::uint64_t seed_;
   double learning_rate_ = 0.2;

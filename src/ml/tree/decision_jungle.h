@@ -28,7 +28,6 @@ class DecisionJungle final : public Classifier {
   explicit DecisionJungle(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
   void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "decision_jungle"; }
   bool is_linear() const override { return false; }
@@ -37,8 +36,6 @@ class DecisionJungle final : public Classifier {
   void load(std::istream& in) override;
 
  private:
-  void rebuild_flat();
-
   ParamMap params_;
   std::uint64_t seed_;
   std::vector<TreeModel> dags_;

@@ -61,18 +61,7 @@ void DecisionTree::fit(const Matrix& x, const std::vector<int>& y) {
   std::vector<double> targets(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) targets[i] = y[i] == 1 ? 1.0 : 0.0;
   tree_.fit(x, targets, {}, tree_options_from_params(params_, x.cols(), seed_));
-  rebuild_flat();
-}
-
-void DecisionTree::rebuild_flat() {
-  flat_.clear();
-  flat_.add_tree(tree_);
-}
-
-std::vector<double> DecisionTree::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
+  flat_ = FlatForest({&tree_, 1});
 }
 
 void DecisionTree::predict_score_into(const Matrix& x, std::vector<double>& out) const {
@@ -90,7 +79,7 @@ void DecisionTree::save(std::ostream& out) const {
 void DecisionTree::load(std::istream& in) {
   load_base(in);
   tree_.load(in);
-  rebuild_flat();
+  flat_ = FlatForest({&tree_, 1});
 }
 
 }  // namespace mlaas

@@ -28,7 +28,6 @@ class DecisionTree final : public Classifier {
   explicit DecisionTree(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
   void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "decision_tree"; }
   bool is_linear() const override { return false; }
@@ -39,8 +38,6 @@ class DecisionTree final : public Classifier {
   const TreeModel& tree() const { return tree_; }
 
  private:
-  void rebuild_flat();
-
   ParamMap params_;
   std::uint64_t seed_;
   TreeModel tree_;

@@ -5,6 +5,10 @@
 
 namespace mlaas {
 
+FlatForest::FlatForest(std::span<const TreeModel> trees) {
+  for (const TreeModel& tree : trees) add_tree(tree);
+}
+
 void FlatForest::clear() {
   feature_.clear();
   threshold_.clear();
@@ -131,6 +135,13 @@ void FlatForest::predict_accumulate(const Matrix& x, double scale,
                 [&](std::size_t r, double value) { out[r] += scale * value; });
     }
   }
+}
+
+void FlatForest::predict_mean(const Matrix& x, std::vector<double>& out) const {
+  out.assign(x.rows(), 0.0);
+  predict_accumulate(x, 1.0, out);
+  const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(1, tree_count()));
+  for (double& v : out) v *= inv;
 }
 
 void FlatForest::predict_into(const Matrix& x, std::span<double> out) const {

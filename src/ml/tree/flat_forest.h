@@ -39,6 +39,10 @@ namespace mlaas {
 
 class FlatForest {
  public:
+  FlatForest() = default;
+  /// Flatten `trees` in order, each reading every column.
+  explicit FlatForest(std::span<const TreeModel> trees);
+
   void clear();
   bool empty() const { return roots_.empty(); }
   std::size_t tree_count() const { return roots_.size(); }
@@ -55,6 +59,11 @@ class FlatForest {
   /// bit-identical to calling predict_accumulate(x, scale, out) on each
   /// TreeModel in the same order.
   void predict_accumulate(const Matrix& x, double scale, std::span<double> out) const;
+
+  /// The ensemble mean every averaging forest scores with: `out` (resized
+  /// to x.rows()) accumulates from 0.0 with scale 1, then is multiplied by
+  /// 1 / max(1, tree_count()), so an empty forest scores +0.0.
+  void predict_mean(const Matrix& x, std::vector<double>& out) const;
 
   /// out[r] = tree_0(row r); requires exactly one tree.  The single-tree
   /// (DecisionTree / RegressionTree) path, bit-identical to

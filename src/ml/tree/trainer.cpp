@@ -633,4 +633,25 @@ void train_tree(TreeModel& tree, TreeWorkspace& workspace, const Matrix& x,
   tree.set_nodes(std::move(nodes));
 }
 
+void train_forest(std::span<TreeModel> trees, TreeWorkspace& workspace, const Matrix& x,
+                  std::span<const double> targets, TreeOptions options, std::uint64_t seed,
+                  const std::string& salt, bool bootstrap) {
+  const std::size_t n = x.rows();
+  std::vector<std::size_t> boot_rows(bootstrap ? n : 0);
+  std::vector<double> boot_targets(bootstrap ? n : 0);
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    options.seed = derive_seed(seed, salt + std::to_string(t));
+    if (!bootstrap) {
+      train_tree(trees[t], workspace, x, targets, {}, options);
+      continue;
+    }
+    Rng rng(derive_seed(options.seed, "bootstrap"));
+    for (std::size_t i = 0; i < n; ++i) {
+      boot_rows[i] = rng.index(n);
+      boot_targets[i] = targets[boot_rows[i]];
+    }
+    train_tree(trees[t], workspace, x, boot_targets, {}, options, boot_rows);
+  }
+}
+
 }  // namespace mlaas

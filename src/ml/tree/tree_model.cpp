@@ -136,4 +136,16 @@ void TreeModel::load(std::istream& in) {
   }
 }
 
+void save_trees(std::ostream& out, std::span<const TreeModel> trees) {
+  model_io::write_int(out, static_cast<long long>(trees.size()));
+  for (const TreeModel& tree : trees) tree.save(out);
+}
+
+std::vector<TreeModel> load_trees(std::istream& in, const char* what) {
+  const std::size_t count = model_io::read_count(in, what);
+  std::vector<TreeModel> trees;
+  for (std::size_t t = 0; t < count; ++t) trees.emplace_back().load(in);
+  return trees;
+}
+
 }  // namespace mlaas

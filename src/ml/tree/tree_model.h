@@ -84,4 +84,9 @@ class TreeModel {
   std::vector<TreeNode> nodes_;
 };
 
+/// The tree ensembles' tree-list codec: a count, then each tree's save().
+/// load_trees() names the count `what` in its errors.
+void save_trees(std::ostream& out, std::span<const TreeModel> trees);
+std::vector<TreeModel> load_trees(std::istream& in, const char* what);
+
 }  // namespace mlaas

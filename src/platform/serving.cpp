@@ -216,8 +216,7 @@ QueryRouter::QueryRouter(const std::vector<PlatformPtr>& platforms,
                          ServingOptions options)
     : options_(options) {
   if (platforms.empty()) throw std::invalid_argument("QueryRouter: empty roster");
-  options_.max_batch_rows = std::max<std::size_t>(1, options_.max_batch_rows);
-  options_.model_cache_capacity = std::max<std::size_t>(1, options_.model_cache_capacity);
+  validate_serving_options(options_);
   platforms_.reserve(platforms.size());
   for (const auto& p : platforms) {
     PlatformState ps;

@@ -256,7 +256,8 @@ class QueryRouter {
 
   /// `platforms` must outlive the router (the campaign-roster convention).
   /// One MlaasService per platform is created from `quota_profile`, seeded
-  /// by (seed, platform).
+  /// by (seed, platform).  Throws std::invalid_argument for an empty roster
+  /// or for options validate_serving_options() rejects.
   QueryRouter(const std::vector<PlatformPtr>& platforms,
               const std::string& quota_profile, std::uint64_t seed,
               ServingOptions options);

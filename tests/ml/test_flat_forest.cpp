@@ -3,7 +3,8 @@
 // per-tree oracle walk (tests/oracle/predict.h), feature maps included, at
 // every query block size.  Every tree-family scorer (the five tree
 // classifiers and the three tree regressors) predicts through one of these
-// two calls.
+// two calls, the averaging forests through predict_mean over
+// predict_accumulate.
 #include "ml/tree/flat_forest.h"
 
 #include <gtest/gtest.h>
@@ -178,6 +179,25 @@ TEST(FlatForest, PredictAccumulateMatchesPerTreeWalkAcrossBlockSizes) {
       }
     }
   }
+
+  // The averaging forests' scorer over FlatForest(span): the per-tree sum
+  // from 0.0 times 1/n.
+  std::vector<TreeModel> unmapped;
+  for (const MappedTree& t : trees) {
+    if (t.features.empty()) unmapped.push_back(t.tree);
+  }
+  const FlatForest forest(unmapped);
+  ASSERT_EQ(forest.tree_count(), unmapped.size());
+  const double inv = 1.0 / static_cast<double>(unmapped.size());
+  for (const std::size_t rows : kBlockSizes) {
+    const Matrix q = query_block(rows);
+    std::vector<double> want(rows, 0.0);
+    for (const TreeModel& tree : unmapped) oracle::reference_tree_accumulate(tree, q, 1.0, want);
+    for (double& v : want) v *= inv;
+    std::vector<double> got(3, 1234.5);
+    forest.predict_mean(q, got);
+    expect_bits_equal(got, want, "predict_mean, block=" + std::to_string(rows));
+  }
 }
 
 TEST(FlatForest, EmptyForestLeavesOutputUntouched) {
@@ -190,6 +210,10 @@ TEST(FlatForest, EmptyForestLeavesOutputUntouched) {
   std::vector<double> got = start;
   flat.predict_accumulate(q, 0.37, got);
   expect_bits_equal(got, start, "empty forest");
+
+  // predict_mean divides by max(1, 0) trees: +0.0 on every row.
+  flat.predict_mean(q, got);
+  expect_bits_equal(got, std::vector<double>(64, 0.0), "empty forest mean");
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ TEST(GridSearch, FindsNonDefaultWhenItHelps) {
   ClassifierGridSpec spec;
   spec.classifier = "decision_tree";
   spec.params = {ParamSpec::integer("max_depth", 3, 1, 30)};
-  const GridSearchResult result = grid_search(spec, ds, 3, 1);
+  const GridSearchResult result = grid_search(spec, ds, GridSearchOptions{.cv_folds = 3}, 1);
   EXPECT_EQ(result.n_configs, 3u);  // sweep {3/100 -> 1, 3, 300 -> 30}
   EXPECT_GT(result.best_params.get_int("max_depth", 0), 1);
   EXPECT_GT(result.best_cv_f_score, 0.8);
@@ -58,7 +58,7 @@ TEST(GridSearch, ReportsConfigCount) {
   ClassifierGridSpec spec;
   spec.classifier = "logistic_regression";
   spec.params = {ParamSpec::categorical("penalty", {"l2", "l1"})};
-  const GridSearchResult result = grid_search(spec, ds, 3, 1);
+  const GridSearchResult result = grid_search(spec, ds, GridSearchOptions{.cv_folds = 3}, 1);
   EXPECT_EQ(result.n_configs, 2u);
 }
 
@@ -71,7 +71,7 @@ TEST(GridSearch, TiesBreakOnCanonicalParamString) {
   ClassifierGridSpec spec;
   spec.classifier = "knn";
   spec.params = {ParamSpec::integer("n_neighbors", 3, 1, 5)};
-  const GridSearchResult result = grid_search(spec, ds, 3, 1);
+  const GridSearchResult result = grid_search(spec, ds, GridSearchOptions{.cv_folds = 3}, 1);
   ASSERT_DOUBLE_EQ(result.best_cv_f_score, 1.0) << "fixture must produce a tie";
   EXPECT_EQ(result.best_params.to_string(), "n_neighbors=1");
 }
@@ -81,8 +81,8 @@ TEST(GridSearch, WinnerIsDeterministicAcrossRepeatedCalls) {
   ClassifierGridSpec spec;
   spec.classifier = "decision_tree";
   spec.params = {ParamSpec::integer("max_depth", 5, 1, 30)};
-  const GridSearchResult a = grid_search(spec, ds, 3, 7);
-  const GridSearchResult b = grid_search(spec, ds, 3, 7);
+  const GridSearchResult a = grid_search(spec, ds, GridSearchOptions{.cv_folds = 3}, 7);
+  const GridSearchResult b = grid_search(spec, ds, GridSearchOptions{.cv_folds = 3}, 7);
   EXPECT_EQ(a.best_params.to_string(), b.best_params.to_string());
   EXPECT_DOUBLE_EQ(a.best_cv_f_score, b.best_cv_f_score);
 }
@@ -120,20 +120,6 @@ TEST(GridSearch, BitIdenticalAcrossThreadCountsAndReuseToggle) {
   }
 }
 
-TEST(GridSearch, BackCompatSignatureMatchesOptionsForm) {
-  const Dataset ds = testing::circles(240, 29);
-  ClassifierGridSpec spec;
-  spec.classifier = "knn";
-  spec.params = {ParamSpec::integer("n_neighbors", 3, 1, 9)};
-  const GridSearchResult old_form = grid_search(spec, ds, 3, 5);
-  GridSearchOptions options;
-  options.cv_folds = 3;
-  const GridSearchResult new_form = grid_search(spec, ds, options, 5);
-  EXPECT_EQ(old_form.best_params.to_string(), new_form.best_params.to_string());
-  EXPECT_EQ(old_form.best_cv_f_score, new_form.best_cv_f_score);
-  EXPECT_EQ(old_form.n_configs, new_form.n_configs);
-}
-
 TEST(GridSearch, SharedFoldsMatchDatasetLevelCv) {
   // Documented fold-seeding contract: every config is scored on the folds a
   // direct cross_validate(..., ds, k, seed) call would draw, so a
@@ -141,7 +127,7 @@ TEST(GridSearch, SharedFoldsMatchDatasetLevelCv) {
   const Dataset ds = testing::circles(200, 30);
   ClassifierGridSpec spec;
   spec.classifier = "decision_tree";  // no swept params -> one default config
-  const GridSearchResult result = grid_search(spec, ds, 3, 11);
+  const GridSearchResult result = grid_search(spec, ds, GridSearchOptions{.cv_folds = 3}, 11);
   ASSERT_EQ(result.n_configs, 1u);
   const ParamMap config = spec.default_config();
   const CvResult cv = cross_validate(

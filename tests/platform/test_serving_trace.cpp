@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "platform/all_platforms.h"
 #include "util/trace.h"
 
 namespace mlaas {
@@ -158,16 +159,24 @@ TEST(ServingTrace, ValidateOptionsAcceptsDefaults) {
 }
 
 TEST(ServingTrace, ValidateOptionsRejectsEachBadKnob) {
-  const auto expect_rejected = [](auto mutate, const std::string& needle) {
+  // The router constructor applies the same rule: it neither clamps a bad
+  // knob nor builds a router around it.
+  std::vector<PlatformPtr> roster;
+  roster.push_back(make_platform("Local"));
+  const auto expect_rejected = [&](auto mutate, const std::string& needle) {
     ServingOptions o;
     mutate(o);
-    try {
-      validate_serving_options(o);
-      FAIL() << "expected std::invalid_argument mentioning " << needle;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
+    const auto expect_throws = [&](auto call, const std::string& entry) {
+      try {
+        call();
+        ADD_FAILURE() << entry << ": expected std::invalid_argument mentioning " << needle;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << entry << ": " << e.what();
+      }
+    };
+    expect_throws([&] { validate_serving_options(o); }, "validate_serving_options");
+    expect_throws([&] { QueryRouter(roster, "default", 1, o); }, "QueryRouter");
   };
   const double nan = std::numeric_limits<double>::quiet_NaN();
   expect_rejected([](ServingOptions& o) { o.max_batch_rows = 0; }, "--batch");

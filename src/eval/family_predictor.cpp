@@ -30,6 +30,8 @@ namespace {
 const std::set<std::string> kGroundTruthPlatforms = {"BigML", "PredictionIO", "Microsoft",
                                                      "Local"};
 
+constexpr double kSelectThreshold = 0.95;  // validation F-score to select (§6.2)
+
 /// Experiments with known classifier choice on one dataset, as a meta
 /// dataset: features = observable metrics, label = 1 for non-linear.
 Dataset build_meta_dataset(const MeasurementTable& table, const std::string& dataset_id) {
@@ -59,7 +61,7 @@ ParamMap meta_rf_params() {
 }  // namespace
 
 FamilyPredictorReport train_family_predictors(const MeasurementTable& table,
-                                              std::uint64_t seed, double select_threshold) {
+                                              std::uint64_t seed) {
   FamilyPredictorReport report;
   for (const auto& dataset_id : table.dataset_ids()) {
     DatasetFamilyPredictor predictor;
@@ -88,7 +90,7 @@ FamilyPredictorReport train_family_predictors(const MeasurementTable& table,
     predictor.test_f = f1_score(split.test.y(), model->predict(split.test.x()));
     predictor.model = std::shared_ptr<Classifier>(std::move(model));
 
-    if (predictor.validation_f > select_threshold) report.selected.push_back(dataset_id);
+    if (predictor.validation_f > kSelectThreshold) report.selected.push_back(dataset_id);
     report.predictors.push_back(std::move(predictor));
   }
   return report;

@@ -2,12 +2,13 @@
 //
 // For each dataset, a meta-classifier (Random Forest, per the paper) is
 // trained to predict whether an experiment used a linear or non-linear
-// classifier, from nothing but the experiment's observable results
-// (aggregated performance metrics).  Ground truth comes from the platforms
-// that expose classifier choice (BigML, PredictionIO, Microsoft, Local).
-// Datasets whose validation F-score exceeds 0.95 are "selected" as having
-// family-differentiating power; the selected predictors are then applied to
-// Google / ABM / Amazon measurements to infer their hidden choices.
+// classifier, from nothing but the experiment's observable results: its
+// test-set metrics and predicted labels (family_features).  Ground truth
+// comes from the platforms that expose classifier choice (BigML,
+// PredictionIO, Microsoft, Local).  Datasets whose validation F-score
+// exceeds 0.95 are "selected" as having family-differentiating power; the
+// selected predictors are then applied to Google / ABM / Amazon
+// measurements to infer their hidden choices.
 #pragma once
 
 #include <map>
@@ -21,7 +22,11 @@
 
 namespace mlaas {
 
-/// Feature vector of one experiment row: [f, accuracy, precision, recall].
+/// Feature vector of one experiment row: [f, accuracy, precision, recall],
+/// then kLabelSignatureSize (256) bits of the label signature, 1.0 where
+/// the row predicted '1' on that test sample and 0.0 otherwise, zero-padded
+/// past the test-set size.  Every row of a dataset pads past the same size,
+/// so on a small test set most of a meta dataset's columns are constant.
 std::vector<double> family_features(const Measurement& m);
 
 struct DatasetFamilyPredictor {
@@ -34,12 +39,11 @@ struct DatasetFamilyPredictor {
 
 struct FamilyPredictorReport {
   std::vector<DatasetFamilyPredictor> predictors;
-  std::vector<std::string> selected;  // validation_f > threshold
+  std::vector<std::string> selected;  // validation_f > 0.95 (§6.2)
 };
 
 FamilyPredictorReport train_family_predictors(const MeasurementTable& table,
-                                              std::uint64_t seed,
-                                              double select_threshold = 0.95);
+                                              std::uint64_t seed);
 
 struct BlackBoxChoice {
   std::string dataset_id;

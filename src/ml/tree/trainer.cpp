@@ -165,9 +165,12 @@ class SplitEngine {
     double* hesss = ws_.hessian_scratch();
 
     for (auto f : feat_scratch_) {
+      // A feature constant on the view fails the node test below in every
+      // node; its column and order are not maintained, so skip it first.
+      if (ws_.constant(f)) continue;
       const double* col = ws_.column(f);
       const std::uint32_t* ord = ws_.order(f) + p.start;
-      if (col[ord[0]] == col[ord[m - 1]]) continue;  // constant
+      if (col[ord[0]] == col[ord[m - 1]]) continue;  // constant in this node
 
       if (opt_.random_splits > 0) {
         // Random thresholds re-scan the prefix per candidate, so gather the
@@ -373,15 +376,24 @@ std::shared_ptr<const TreeTrainBase> TreeTrainBase::build(const Matrix& x) {
   // Sorting contiguous (value, index) pairs — default lexicographic compare
   // is exactly that order — beats an indirect comparator into the column:
   // every hot comparison reads the keys from the sort's own working set.
+  // A constant column (every value == the first; a NaN never is) sorts to
+  // the identity, so it is flagged and written without a sort.
   base->pristine.resize(base->rows * base->cols);
+  base->constant.resize(base->cols);
   std::vector<std::pair<double, std::uint32_t>> keyed(base->rows);
   for (std::size_t f = 0; f < base->cols; ++f) {
     const double* col = base->columns.data() + f * base->rows;
+    std::uint32_t* ord = base->pristine.data() + f * base->rows;
+    base->constant[f] =
+        std::all_of(col, col + base->rows, [&](double v) { return v == col[0]; });
+    if (base->constant[f]) {
+      std::iota(ord, ord + base->rows, std::uint32_t{0});
+      continue;
+    }
     for (std::size_t r = 0; r < base->rows; ++r) {
       keyed[r] = {col[r], static_cast<std::uint32_t>(r)};
     }
     std::sort(keyed.begin(), keyed.end());
-    std::uint32_t* ord = base->pristine.data() + f * base->rows;
     for (std::size_t r = 0; r < base->rows; ++r) ord[r] = keyed[r].second;
   }
   return base;
@@ -525,9 +537,17 @@ void TreeWorkspace::bind(const Matrix& x, std::span<const std::size_t> rows,
   view_is_base_ = rows.empty() && features.empty();
   order_.resize(view_rows_ * view_cols_);
 
+  // Only the non-constant features get a column and an order below.
+  view_constant_.resize(view_cols_);
+  live_.clear();
+  for (std::size_t j = 0; j < view_cols_; ++j) {
+    view_constant_[j] = base_->constant[features.empty() ? j : features[j]];
+    if (view_constant_[j] == 0) live_.push_back(j);
+  }
+
   if (!view_is_base_) {
     view_columns_.resize(view_rows_ * view_cols_);
-    for (std::size_t j = 0; j < view_cols_; ++j) {
+    for (const std::size_t j : live_) {
       const std::size_t f = features.empty() ? j : features[j];
       const double* src = base_->columns.data() + f * base_rows;
       double* dst = view_columns_.data() + j * view_rows_;
@@ -542,7 +562,7 @@ void TreeWorkspace::bind(const Matrix& x, std::span<const std::size_t> rows,
   if (rows.empty()) {
     // Same sample set as the base: restore the pristine orders with a copy.
     const auto& pristine = base_->pristine;
-    for (std::size_t j = 0; j < view_cols_; ++j) {
+    for (const std::size_t j : live_) {
       const std::size_t f = features.empty() ? j : features[j];
       std::copy(pristine.begin() + static_cast<std::ptrdiff_t>(f * base_rows),
                 pristine.begin() + static_cast<std::ptrdiff_t>((f + 1) * base_rows),
@@ -565,7 +585,7 @@ void TreeWorkspace::bind(const Matrix& x, std::span<const std::size_t> rows,
       const std::size_t r = rows[i];
       row_positions_[row_offset_[r] + row_count_[r]++] = static_cast<std::uint32_t>(i);
     }
-    for (std::size_t j = 0; j < view_cols_; ++j) {
+    for (const std::size_t j : live_) {
       const std::size_t f = features.empty() ? j : features[j];
       const std::uint32_t* base_ord = base_->pristine.data() + f * base_rows;
       std::uint32_t* ord = order_.data() + j * view_rows_;
@@ -604,7 +624,7 @@ void TreeWorkspace::tandem_partition(std::size_t start, std::size_t mid,
   // trailing non-advancing store stays in bounds.
   std::uint32_t* rhs = part_right_.data();
   const std::uint8_t* flags = goes_left_.data();
-  for (std::size_t f = 0; f < view_cols_; ++f) {
+  for (const std::size_t f : live_) {
     std::uint32_t* ord = order(f);
     std::size_t w = start;
     std::size_t nr = 0;

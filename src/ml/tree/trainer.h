@@ -13,7 +13,10 @@
 //       branch-light linear passes,
 //   (d) for MSE and Gini, a division-free upper bound on each candidate's
 //       gain that skips the exact evaluation of candidates which provably
-//       cannot beat the running best (DESIGN.md "Screened split scan").
+//       cannot beat the running best (DESIGN.md "Screened split scan"),
+//   (e) a flag per feature that is constant on the training matrix: no
+//       split can use one, so it is never sorted, gathered or partitioned
+//       (DESIGN.md "Constant features").
 //
 // The workspace is allocated once and reused across all trees of an
 // ensemble.  For ensembles that train every tree on the same matrix
@@ -52,9 +55,11 @@ struct TreeTrainBase {
   std::size_t cols = 0;
   std::vector<double> columns;          // feature-major base matrix
   std::vector<std::uint32_t> pristine;  // per-feature presorted base orders
+  std::vector<std::uint8_t> constant;   // 1 when every value of the feature == the first
 
   /// Transpose + presort `x`.  Deterministic: ascending value with row index
-  /// as tie-break, so two builds of equal matrices are byte-identical.
+  /// as tie-break, so two builds of equal matrices are byte-identical.  A
+  /// constant feature is flagged and not sorted: its order is the identity.
   static std::shared_ptr<const TreeTrainBase> build(const Matrix& x);
 };
 
@@ -164,6 +169,11 @@ class ScopedTrainContext {
 /// (TreeTrainBase) and per-tree working orders and scratch buffers.  bind()
 /// is called by train_tree(); the bound matrix must stay alive and
 /// unchanged while the workspace uses it.
+///
+/// A feature that is constant on the bound matrix is constant in every view
+/// and every node, so no split can use it: bind() neither gathers its column
+/// nor fills its order, and tandem_partition() does not maintain it.  Its
+/// column() and order() hold stale data; test constant() before reading.
 class TreeWorkspace {
  public:
   /// Bind a training view of `x`: the full matrix (rows/features empty), a
@@ -175,6 +185,8 @@ class TreeWorkspace {
 
   std::size_t view_rows() const { return view_rows_; }
   std::size_t view_cols() const { return view_cols_; }
+  /// True when feature f of the view is constant on the bound matrix.
+  bool constant(std::size_t f) const { return view_constant_[f] != 0; }
 
   /// Contiguous column of the bound view.
   const double* column(std::size_t f) const {
@@ -184,9 +196,9 @@ class TreeWorkspace {
   /// Working sample order of feature f (positions into the view).
   std::uint32_t* order(std::size_t f) { return order_.data() + f * view_rows_; }
 
-  /// Stable tandem partition of every feature order over [start, end):
-  /// samples flagged left (goes_left()[pos] != 0) keep their relative
-  /// order in [start, mid), the rest in [mid, end).
+  /// Stable tandem partition of every non-constant feature order over
+  /// [start, end): samples flagged left (goes_left()[pos] != 0) keep their
+  /// relative order in [start, mid), the rest in [mid, end).
   void tandem_partition(std::size_t start, std::size_t mid, std::size_t end);
 
   std::vector<std::uint8_t>& goes_left() { return goes_left_; }
@@ -207,6 +219,8 @@ class TreeWorkspace {
   bool view_is_base_ = false;
   std::vector<double> view_columns_;      // gathered bootstrap/subset columns
   std::vector<std::uint32_t> order_;      // per-feature working orders
+  std::vector<std::uint8_t> view_constant_;  // per view feature: base constant flag
+  std::vector<std::size_t> live_;         // view features that are not constant
 
   std::vector<std::uint8_t> goes_left_;   // per-position split side flags
   std::vector<std::uint32_t> part_right_;  // tandem right spill buffer

@@ -1,10 +1,15 @@
 // Property-style tests run over EVERY registry classifier via parameterized
-// gtest: determinism, score validity, single-class handling, and minimum
-// competence on a separable problem.
+// gtest: determinism, score validity, single-class handling, constant
+// columns, and minimum competence on a separable problem.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+
 #include "ml/registry.h"
+#include "ml/tree/trainer.h"
 #include "tests/ml/test_helpers.h"
+#include "util/rng.h"
 
 namespace mlaas {
 namespace {
@@ -64,6 +69,49 @@ TEST_P(ClassifierProperty, LabelPermutationInvariantAccuracy) {
   auto clf = make_classifier(GetParam(), {}, 5);
   clf->fit(reversed.x(), reversed.y());
   EXPECT_GT(accuracy_score(ds.y(), clf->predict(ds.x())), 0.9);
+}
+
+// Constant columns: every column, or every even one (the odd ones carry
+// the signal).  Tree fits flag constant features in their presort and never
+// bind them, so the tree family must also save the same bytes whether the
+// presort comes from a fresh build or a TrainContext's cache.
+TEST_P(ClassifierProperty, ConstantColumnsGiveValidDeterministicScores) {
+  const std::set<std::string> kTreeFamily = {"decision_tree", "random_forest", "bagging",
+                                             "boosted_trees", "decision_jungle"};
+  const std::size_t n = 60, d = 6;
+  Rng rng(21);
+  std::vector<int> y(n);
+  for (std::size_t r = 0; r < n; ++r) y[r] = r % 3 == 0 ? 1 : 0;
+  for (const bool all_constant : {true, false}) {
+    Matrix x(n, d);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < d; ++c) {
+        x(r, c) = all_constant || c % 2 == 0 ? 0.5 * static_cast<double>(c) - 1.0
+                                             : rng.normal() + 2.0 * y[r];
+      }
+    }
+    SCOPED_TRACE(all_constant ? "all columns constant" : "even columns constant");
+    auto fit = [&] {
+      auto clf = make_classifier(GetParam(), {}, 8);
+      clf->fit(x, y);
+      return clf;
+    };
+    const auto a = fit();
+    const auto scores = a->predict_score(x);
+    ASSERT_EQ(scores.size(), n);
+    testing::expect_scores_in_unit_interval(*a, x);  // finite, since in [0, 1]
+    EXPECT_EQ(scores, fit()->predict_score(x));
+    if (kTreeFamily.count(GetParam()) == 0) continue;
+
+    std::ostringstream fresh, cached;
+    a->save(fresh);
+    TrainContext context;
+    ScopedTrainContext scope(&context);
+    fit();  // builds and caches the presort
+    fit()->save(cached);
+    EXPECT_EQ(fresh.str(), cached.str());
+    EXPECT_GE(context.stats().tree_base_hits, 1u);
+  }
 }
 
 TEST_P(ClassifierProperty, NameMatchesRegistry) {

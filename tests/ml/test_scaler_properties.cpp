@@ -50,7 +50,8 @@ TEST_P(ScalerProperty, FiniteOnConstantColumns) {
     x(r, 1) = static_cast<double>(r);       // varying
   }
   scaler->fit(x, {});
-  for (double v : scaler->transform(x).data()) EXPECT_TRUE(std::isfinite(v)) << GetParam();
+  const Matrix t = scaler->transform(x);
+  for (double v : t.data()) EXPECT_TRUE(std::isfinite(v)) << GetParam();
 }
 
 TEST_P(ScalerProperty, FiniteOnExtremeMagnitudes) {
@@ -62,7 +63,8 @@ TEST_P(ScalerProperty, FiniteOnExtremeMagnitudes) {
     x(r, 1) = rng.normal(0.0, 1e-12);
   }
   scaler->fit(x, {});
-  for (double v : scaler->transform(x).data()) EXPECT_TRUE(std::isfinite(v)) << GetParam();
+  const Matrix t = scaler->transform(x);
+  for (double v : t.data()) EXPECT_TRUE(std::isfinite(v)) << GetParam();
 }
 
 TEST_P(ScalerProperty, DeterministicTransform) {

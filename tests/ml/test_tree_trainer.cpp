@@ -4,7 +4,9 @@
 // across criteria, hessian modes, width/node/depth caps, feature sampling
 // and random-split modes — for single trees and for every ensemble (whose
 // per-tree loops share one TreeWorkspace and run bootstrap/feature-subset
-// views through it, where the oracle materializes each view).
+// views through it, where the oracle materializes each view).  Columns that
+// are constant on the training matrix, which the trainer flags and never
+// binds, get their own cases: the oracle has no such skip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -182,6 +184,10 @@ TEST(TreeTrainerEquivalence, TiedFeatureValues) {
 // One seeded adversarial tree-fit problem: sizes down to n = 2, tied and
 // tie-free features, every criterion with targets from every regime the
 // split scan's arithmetic must survive, optional hessians and random caps.
+// With `degenerate_columns`, each feature instead draws a column regime:
+// half stay normal (tied or tie-free), the rest are a constant finite
+// column, a {+0.0, -0.0} column, an all-+Inf column or a 0/1 column with
+// rare 1s.  NaN stays out: both builders sort (value, row) pairs.
 struct FuzzCase {
   Matrix x;
   std::vector<double> targets;
@@ -190,17 +196,36 @@ struct FuzzCase {
   std::string label;
 };
 
-FuzzCase adversarial_case(std::uint64_t seed) {
+FuzzCase adversarial_case(std::uint64_t seed, bool degenerate_columns = false) {
   Rng rng(derive_seed(seed, "tree-trainer-fuzz"));
   FuzzCase c;
   const std::size_t n = 2 + rng.index(300);
   const std::size_t d = 1 + rng.index(6);
   const bool tied = rng.chance(0.5);
   const double grid = static_cast<double>(1 + rng.index(4));
+
+  static constexpr const char* kColumns[] = {"normal", "constant", "signed_zeros",
+                                             "plus_inf", "rare_ones"};
+  std::vector<std::size_t> column(d, 0);
+  std::vector<double> level(d, 0.0);
+  std::string columns;
+  if (degenerate_columns) {
+    for (std::size_t f = 0; f < d; ++f) {
+      column[f] = rng.chance(0.5) ? 0 : 1 + rng.index(std::size(kColumns) - 1);
+      level[f] = rng.normal();
+      columns += std::string(f == 0 ? " columns=" : ",") + kColumns[column[f]];
+    }
+  }
   c.x = Matrix(n, d);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t f = 0; f < d; ++f) {
-      c.x(r, f) = tied ? std::floor(rng.normal() * grid) / grid : rng.normal();
+      switch (column[f]) {
+        case 0: c.x(r, f) = tied ? std::floor(rng.normal() * grid) / grid : rng.normal(); break;
+        case 1: c.x(r, f) = level[f]; break;
+        case 2: c.x(r, f) = rng.chance(0.5) ? 0.0 : -0.0; break;
+        case 3: c.x(r, f) = std::numeric_limits<double>::infinity(); break;
+        default: c.x(r, f) = rng.chance(0.03) ? 1.0 : 0.0; break;
+      }
     }
   }
 
@@ -242,7 +267,7 @@ FuzzCase adversarial_case(std::uint64_t seed) {
   c.opt.random_splits = rng.chance(0.1) ? static_cast<int>(1 + rng.index(6)) : 0;
   c.opt.seed = rng.next();
   c.label = "case " + std::to_string(seed) + ": n=" + std::to_string(n) +
-            " d=" + std::to_string(d) + (tied ? " tied" : " tie-free") +
+            " d=" + std::to_string(d) + (tied ? " tied" : " tie-free") + columns +
             " targets=" + kRegimes[regime] +
             " criterion=" + std::to_string(static_cast<int>(c.opt.criterion)) +
             (c.hessians.empty() ? "" : " hessians");
@@ -271,15 +296,14 @@ bool same_nodes(const TreeModel& a, const TreeModel& b) {
   return true;
 }
 
-TEST(TreeTrainerEquivalence, AdversarialFuzzMatchesReference) {
-  // Cancellation (1e8 offset, 2^100 scales, one outlier), non-[0,1] Gini
-  // targets and NaN/Inf stats exercise the split scan's screen and the
-  // summation order inside tie groups; both builders must agree exactly.
-  constexpr std::uint64_t kCases = 2000;
+// Fits adversarial_case(seed, degenerate_columns) for seeds [0, cases) with
+// both builders, fails on the first five mismatches, and returns how many
+// fitted trees split at least once.
+std::size_t fuzz_against_reference(std::uint64_t cases, bool degenerate_columns) {
   int failures = 0;
   std::size_t split_trees = 0;
-  for (std::uint64_t seed = 0; seed < kCases && failures < 5; ++seed) {
-    const FuzzCase c = adversarial_case(seed);
+  for (std::uint64_t seed = 0; seed < cases && failures < 5; ++seed) {
+    const FuzzCase c = adversarial_case(seed, degenerate_columns);
     TreeModel fast;
     fast.fit(c.x, c.targets, c.hessians, c.opt);
     TreeModel reference;
@@ -292,9 +316,25 @@ TEST(TreeTrainerEquivalence, AdversarialFuzzMatchesReference) {
     }
     split_trees += fast.node_count() > 1 ? 1 : 0;
   }
+  return split_trees;
+}
+
+TEST(TreeTrainerEquivalence, AdversarialFuzzMatchesReference) {
+  // Cancellation (1e8 offset, 2^100 scales, one outlier), non-[0,1] Gini
+  // targets and NaN/Inf stats exercise the split scan's screen and the
+  // summation order inside tie groups; both builders must agree exactly.
+  constexpr std::uint64_t kCases = 2000;
   // Guard against a generator that stops producing splits (2^-100 targets,
   // clamped Gini/entropy means and NaN stats legitimately leave a root leaf).
-  EXPECT_GT(split_trees, kCases / 3);
+  EXPECT_GT(fuzz_against_reference(kCases, false), kCases / 3);
+}
+
+TEST(TreeTrainerEquivalence, AdversarialFuzzWithConstantColumnsMatchesReference) {
+  // Constant, signed-zero and +Inf columns are constant on the training
+  // matrix, so the trainer never sorts, binds or partitions them; a
+  // rare-ones column is one large tie group, or constant when no 1 is drawn.
+  constexpr std::uint64_t kCases = 1000;
+  EXPECT_GT(fuzz_against_reference(kCases, true), kCases / 4);
 }
 
 // Every tree-family classifier against the oracle's copy of its fit loop:
@@ -306,6 +346,20 @@ class EnsembleEquivalence : public ::testing::TestWithParam<const char*> {};
 TEST_P(EnsembleEquivalence, SerializedModelAndScoresAreByteIdentical) {
   const std::string name = GetParam();
   const Dataset ds = workload(1234, 320, 12);
+  // The workload again with four constant columns appended: a finite level,
+  // {+0.0, -0.0}, +Inf and zeros.  Bagging's feature subsets, the forests'
+  // bootstrap views and boosting's pristine restore all bind them.
+  const Matrix padded = [&] {
+    const std::size_t d = ds.n_features();
+    Matrix x(ds.n_samples(), d + 4);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      for (std::size_t c = 0; c < d; ++c) x(r, c) = ds.x()(r, c);
+      x(r, d) = 2.5;
+      x(r, d + 1) = r % 2 == 0 ? 0.0 : -0.0;
+      x(r, d + 2) = std::numeric_limits<double>::infinity();
+    }
+    return x;
+  }();
 
   ParamMap params;
   if (name == "random_forest") params.set("n_estimators", 6ll);
@@ -316,17 +370,20 @@ TEST_P(EnsembleEquivalence, SerializedModelAndScoresAreByteIdentical) {
   if (name == "boosted_trees") params.set("n_estimators", 8ll);
   if (name == "decision_jungle") params.set("n_dags", 4ll);
 
-  auto fast = make_classifier(name, params, 77);
-  fast->fit(ds.x(), ds.y());
-  const std::string reference = oracle::saved_bytes(
-      oracle::reference_tree_classifier_fit(name, params, 77, ds.x(), ds.y()));
+  for (const Matrix* x : {&ds.x(), &padded}) {
+    const std::string label = name + (x == &padded ? " with constant columns" : "");
+    auto fast = make_classifier(name, params, 77);
+    fast->fit(*x, ds.y());
+    const std::string reference = oracle::saved_bytes(
+        oracle::reference_tree_classifier_fit(name, params, 77, *x, ds.y()));
 
-  EXPECT_EQ(serialized(*fast), reference) << name;
-  const auto fast_scores = fast->predict_score(ds.x());
-  const auto ref_scores = oracle::ReferencePredictor(name, reference).predict_score(ds.x());
-  ASSERT_EQ(fast_scores.size(), ref_scores.size());
-  for (std::size_t i = 0; i < fast_scores.size(); ++i) {
-    EXPECT_EQ(fast_scores[i], ref_scores[i]) << name << " row " << i;
+    EXPECT_EQ(serialized(*fast), reference) << label;
+    const auto fast_scores = fast->predict_score(*x);
+    const auto ref_scores = oracle::ReferencePredictor(name, reference).predict_score(*x);
+    ASSERT_EQ(fast_scores.size(), ref_scores.size()) << label;
+    for (std::size_t i = 0; i < fast_scores.size(); ++i) {
+      EXPECT_EQ(fast_scores[i], ref_scores[i]) << label << " row " << i;
+    }
   }
 }
 
@@ -345,6 +402,27 @@ TEST_P(EnsembleEquivalence, ReplicateResamplingToo) {
             oracle::saved_bytes(
                 oracle::reference_tree_classifier_fit(name, params, 9, ds.x(), ds.y())))
       << name;
+}
+
+TEST(TreeTrainerEquivalence, MetaShapedForestMatchesReference) {
+  // The shape of a §6.2 meta dataset (family_features): 4 metrics in [0, 1],
+  // 18 sparse predicted-label bits and 238 zero-padded bits, fitted with the
+  // meta-classifier's parameters.  238 of the 260 columns are constant.
+  const std::size_t n = 300, d = 260;
+  Rng rng(2026);
+  Matrix x(n, d);
+  std::vector<int> y(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) x(r, c) = rng.uniform();
+    for (std::size_t c = 4; c < 22; ++c) x(r, c) = rng.chance(0.1) ? 1.0 : 0.0;
+    y[r] = x(r, 0) + 0.5 * x(r, 4) + 0.2 * rng.normal() > 0.6 ? 1 : 0;
+  }
+  const ParamMap params{{"n_estimators", 60LL}, {"max_depth", 14LL}};
+  auto fast = make_classifier("random_forest", params, 31);
+  fast->fit(x, y);
+  EXPECT_EQ(serialized(*fast),
+            oracle::saved_bytes(
+                oracle::reference_tree_classifier_fit("random_forest", params, 31, x, y)));
 }
 
 INSTANTIATE_TEST_SUITE_P(TreeFamily, EnsembleEquivalence,

@@ -93,7 +93,8 @@ std::string StudyOptions::flags_usage() {
   line("--seed N", "corpus and campaign seed", d.seed, "$MLAAS_SEED, else ");
   line("--scale X", "grid and corpus scale, > 0", d.scale, "$MLAAS_SCALE, else ");
   line("--quick", "tiny corpus for smoke runs", d.quick);
-  line("--threads N", "campaign workers, 0 = hardware concurrency", d.threads);
+  line("--threads N", "campaign and Fig 11 probe-grid workers, 0 = hardware concurrency",
+       d.threads);
   line("--schedule S", "static|dynamic session dispatch", to_string(d.schedule));
   line("--fault-rate F", "transient fault rate in [0, 1]", d.fault_rate,
        "$MLAAS_FAULT_RATE, else ");

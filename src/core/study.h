@@ -47,7 +47,9 @@ struct StudyOptions {
   std::uint64_t seed = 42;
   double scale = 1.0;        // grid/corpus scaling knob (DESIGN.md)
   bool quick = false;        // tiny corpus for smoke runs
-  int threads = 0;           // 0 = hardware concurrency; negative rejected
+  /// Campaign and Figure 11 probe-grid workers; 0 = hardware concurrency,
+  /// negative rejected.
+  int threads = 0;
   /// Campaign session scheduler (see Schedule in eval/measurement.h).  Both
   /// schedules produce byte-identical tables.
   Schedule schedule = Schedule::kDynamic;

@@ -24,7 +24,10 @@ struct FamilyScores {
 FamilyScores split_by_family(const MeasurementTable& table);
 
 /// Run the local library's full configuration grid on one probe dataset and
-/// return the family-partitioned F-scores (Figure 11's experiment).
+/// return the family-partitioned F-scores (Figure 11's experiment).  The
+/// cells run on a pool of `options.threads` workers (0 = hardware
+/// concurrency); the scores are identical for every count.  Throws
+/// std::invalid_argument for a negative count.
 FamilyScores family_gap_on_probe(const Dataset& probe, const MeasurementOptions& options);
 
 }  // namespace mlaas

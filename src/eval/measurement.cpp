@@ -242,6 +242,15 @@ const char* to_string(Schedule schedule) {
   return schedule == Schedule::kStatic ? "static" : "dynamic";
 }
 
+std::size_t MeasurementOptions::pool_size(const char* caller) const {
+  if (threads < 0) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": threads must be >= 0 (0 = hardware concurrency), got " +
+                                std::to_string(threads));
+  }
+  return static_cast<std::size_t>(threads);
+}
+
 double SchedulerStats::busy_seconds() const {
   return std::accumulate(worker_busy_seconds.begin(), worker_busy_seconds.end(), 0.0);
 }
@@ -759,10 +768,7 @@ std::optional<Measurement> measure_one(const Dataset& dataset, const Platform& p
 CampaignResult run_campaign(const std::vector<Dataset>& corpus,
                             const std::vector<PlatformPtr>& platforms,
                             const MeasurementOptions& options) {
-  if (options.threads < 0) {
-    throw std::invalid_argument("run_campaign: threads must be >= 0 (0 = hardware "
-                                "concurrency), got " + std::to_string(options.threads));
-  }
+  const std::size_t workers = options.pool_size("run_campaign");
   // Pre-enumerate configs and their row metadata once per platform, and
   // resolve quota profiles eagerly: an unknown profile or chaos profile must
   // throw here, in the caller's thread, not inside a pool worker.
@@ -886,7 +892,7 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
     }
   };
 
-  ThreadPool pool(options.threads == 0 ? 0 : static_cast<std::size_t>(options.threads));
+  ThreadPool pool(workers);
   ParallelStats dispatch;
   if (options.schedule == Schedule::kStatic) {
     // The pre-scheduler granularity: one work item per dataset, its

@@ -203,6 +203,11 @@ struct MeasurementOptions {
   /// and journals stay valid.
   bool trace = false;
   CampaignOptions campaign;           // service-transport envelope
+
+  /// The ThreadPool size `threads` asks for (0 = hardware concurrency).
+  /// Throws std::invalid_argument naming `caller` when threads < 0; callers
+  /// ask before any work starts.
+  std::size_t pool_size(const char* caller) const;
 };
 
 /// Per-platform campaign telemetry: merged service counters plus cell

@@ -15,9 +15,15 @@ void Classifier::load_base(std::istream& in) {
   in >> flag >> single_class_label_;
   if (!in) throw std::runtime_error("load_model: truncated classifier base state");
   single_class_ = flag != 0;
+  fitted_ = true;
+}
+
+void Classifier::require_fitted() const {
+  if (!fitted_) throw std::logic_error(name() + ": predict before fit");
 }
 
 std::vector<double> Classifier::predict_score(const Matrix& x) const {
+  require_fitted();
   std::vector<double> out;
   predict_score_into(x, out);
   return out;
@@ -32,6 +38,7 @@ std::vector<int> Classifier::predict(const Matrix& x) const {
 
 void Classifier::predict_into(const Matrix& x, std::vector<double>& score_scratch,
                               std::vector<int>& labels) const {
+  require_fitted();
   predict_score_into(x, score_scratch);
   labels.resize(score_scratch.size());
   for (std::size_t i = 0; i < score_scratch.size(); ++i) {
@@ -46,6 +53,7 @@ bool Classifier::fill_single_class(std::size_t rows, std::vector<double>& out) c
 }
 
 bool Classifier::check_single_class(const std::vector<int>& y) {
+  fitted_ = true;
   const std::size_t pos = count_positive(y);
   single_class_ = y.empty() || pos == 0 || pos == y.size();
   if (single_class_) single_class_label_ = pos > 0 ? 1 : 0;

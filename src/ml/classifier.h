@@ -34,7 +34,9 @@ class Classifier {
   /// P(class == 1)-like score in [0, 1] per row, written into `out`
   /// (resized to x.rows()).  A caller that keeps `out` alive across calls
   /// predicts repeatedly without reallocating.  Must only be called after
-  /// fit().  The one scorer every classifier implements.
+  /// fit() or load(); the public wrappers below check that and throw
+  /// std::logic_error("<name>: predict before fit") otherwise.  The one
+  /// scorer every classifier implements.
   virtual void predict_score_into(const Matrix& x, std::vector<double>& out) const = 0;
 
   /// predict_score_into() into a fresh vector.
@@ -63,7 +65,8 @@ class Classifier {
 
  protected:
   /// Shared single-class handling: returns true (and records the class) if
-  /// y is constant; fill_single_class() then scores that constant.
+  /// y is constant; fill_single_class() then scores that constant.  Every
+  /// fit() calls it, so it also marks the classifier fitted.
   bool check_single_class(const std::vector<int>& y);
   bool single_class() const { return single_class_; }
 
@@ -72,11 +75,16 @@ class Classifier {
   bool fill_single_class(std::size_t rows, std::vector<double>& out) const;
 
   /// Serialize/restore the shared single-class state; every concrete
-  /// save()/load() implementation calls these first.
+  /// save()/load() implementation calls these first.  load_base() marks the
+  /// classifier fitted; the mark itself is not serialized.
   void save_base(std::ostream& out) const;
   void load_base(std::istream& in);
 
  private:
+  /// Throws std::logic_error unless fit() or load() has run.
+  void require_fitted() const;
+
+  bool fitted_ = false;
   bool single_class_ = false;
   int single_class_label_ = 0;
 };

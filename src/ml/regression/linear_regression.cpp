@@ -18,6 +18,7 @@ void LinearRegression::fit(const Matrix& x, const std::vector<double>& y) {
   const std::size_t d = x.cols();
   w_.assign(d, 0.0);
   b_ = 0.0;
+  fitted_ = true;
   if (x.rows() == 0) return;
 
   // Center targets/features when fitting an intercept: keeps the normal
@@ -52,6 +53,7 @@ void LinearRegression::fit(const Matrix& x, const std::vector<double>& y) {
 }
 
 std::vector<double> LinearRegression::predict(const Matrix& x) const {
+  if (!fitted_) throw std::logic_error(name() + ": predict before fit");
   auto out = x.multiply(w_);
   for (double& v : out) v += b_;
   return out;

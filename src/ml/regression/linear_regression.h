@@ -16,6 +16,7 @@ class LinearRegression final : public Regressor {
   explicit LinearRegression(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<double>& y) override;
+  /// Throws std::logic_error("<name>: predict before fit") before fit().
   std::vector<double> predict(const Matrix& x) const override;
   std::string name() const override { return alpha_ > 0 ? "ridge" : "linear_regression"; }
 
@@ -26,6 +27,7 @@ class LinearRegression final : public Regressor {
   double alpha_;
   bool fit_intercept_;
 
+  bool fitted_ = false;
   std::vector<double> w_;
   double b_ = 0.0;
 };

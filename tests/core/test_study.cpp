@@ -142,6 +142,44 @@ TEST_F(StudyIntegration, NaiveStrategyRuns) {
   }
 }
 
+TEST(StudyCache, MeasurementsAndFailuresKeepFileOrder) {
+  // A fingerprinted cache with ok and failed rows interleaved: the Study
+  // loads it without a campaign and splits it into its two tables.
+  const StudyOptions opt = tiny_options("ok_and_failed");
+  Study study(opt);
+  MeasurementTable cache;
+  std::vector<std::string> ok_rows, failed_rows;
+  for (int i = 0; i < 7; ++i) {
+    Measurement m;
+    m.dataset_id = "d" + std::to_string(i);
+    m.platform = "Local";
+    m.feature_step = "none";
+    m.classifier = "knn";
+    m.params = "n_neighbors=" + std::to_string(i + 1);
+    m.test.f_score = 0.5 + 0.05 * i;
+    m.label_signature = "0110";
+    if (i % 3 == 1) {
+      m.ok = false;
+      m.failure = i == 4 ? kDeferredStatus : "train:server-error";
+      m.test = {};
+      m.label_signature.clear();
+    }
+    (m.ok ? ok_rows : failed_rows).push_back(measurement_row_to_tsv(m));
+    cache.add(std::move(m));
+  }
+  cache.save_csv(opt.cache_path_override,
+                 measurement_fingerprint(study.corpus(), study.platforms(),
+                                         opt.measurement_options()));
+  const auto as_tsv = [](const MeasurementTable& table) {
+    std::vector<std::string> rows;
+    for (const auto& m : table.rows()) rows.push_back(measurement_row_to_tsv(m));
+    return rows;
+  };
+  EXPECT_EQ(as_tsv(study.measurements()), ok_rows);
+  EXPECT_EQ(as_tsv(study.measurement_failures()), failed_rows);
+  EXPECT_EQ(failed_rows.size(), 2u);
+}
+
 TEST(StudyOptionsTest, QuickModeShrinksCorpus) {
   StudyOptions opt;
   opt.quick = true;

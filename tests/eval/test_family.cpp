@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+
 #include "data/generators.h"
 #include "linalg/stats.h"
+#include "platform/local_sklearn.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -46,6 +51,55 @@ TEST(Family, GapOnCircleFavorsNonLinear) {
   ASSERT_GT(scores.linear_f.size(), 3u);
   ASSERT_GT(scores.nonlinear_f.size(), 3u);
   EXPECT_GT(mean(scores.nonlinear_f), mean(scores.linear_f) + 0.15);
+}
+
+/// The serial loop family_gap_on_probe ran before its cells moved onto a
+/// pool: the reference every thread count must reproduce.
+FamilyScores serial_family_gap(const Dataset& probe, const MeasurementOptions& options) {
+  LocalSklearnPlatform local;
+  MeasurementTable table;
+  for (const auto& config : enumerate_configs(local, options)) {
+    if (auto m = measure_one(probe, local, config, options)) {
+      if (m->ok) table.add(std::move(*m));
+    }
+  }
+  return split_by_family(table);
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out(values.size());
+  if (!values.empty()) std::memcpy(out.data(), values.data(), values.size() * sizeof(double));
+  return out;
+}
+
+TEST(Family, GapIsIdenticalAcrossThreadCounts) {
+  MeasurementOptions opt;
+  opt.max_para_configs = 3;
+  opt.joint_sample = 5;
+  Dataset circle = make_circle_probe(11, 300);
+  circle.meta().id = "circle-probe";
+  const FamilyScores expected = serial_family_gap(circle, opt);
+  ASSERT_GT(expected.linear_f.size(), 3u);
+  ASSERT_GT(expected.nonlinear_f.size(), 3u);
+  for (const int threads : {1, 2, 4, 16}) {
+    opt.threads = threads;
+    const FamilyScores got = family_gap_on_probe(circle, opt);
+    EXPECT_EQ(bits(got.linear_f), bits(expected.linear_f)) << threads << " threads";
+    EXPECT_EQ(bits(got.nonlinear_f), bits(expected.nonlinear_f)) << threads << " threads";
+  }
+}
+
+TEST(Family, GapRejectsNegativeThreads) {
+  MeasurementOptions opt;
+  opt.threads = -1;
+  const Dataset circle = make_circle_probe(11, 100);
+  try {
+    family_gap_on_probe(circle, opt);
+    FAIL() << "a negative thread count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "family_gap_on_probe: threads must be >= 0 (0 = hardware concurrency), got -1");
+  }
 }
 
 TEST(FamilyPredictor, FeaturesAreMetricsPlusLabelSignature) {

@@ -3,10 +3,13 @@
 // columns, and minimum competence on a separable problem.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "ml/registry.h"
+#include "ml/regression/regressor.h"
 #include "ml/tree/trainer.h"
 #include "tests/ml/test_helpers.h"
 #include "util/rng.h"
@@ -114,6 +117,29 @@ TEST_P(ClassifierProperty, ConstantColumnsGiveValidDeterministicScores) {
   }
 }
 
+// Predicting before fit() (or load()) is a precondition breach; every
+// public predict wrapper refuses it with a named error instead of reading
+// model state that was never built.
+TEST_P(ClassifierProperty, PredictBeforeFitThrows) {
+  const Matrix x{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}, {0, 1, 0, 1}, {2, 2, 2, 2}};
+  auto clf = make_classifier(GetParam(), {}, 8);
+  const std::string expected = GetParam() + ": predict before fit";
+  std::vector<double> scores;
+  std::vector<int> labels;
+  for (const auto& call : std::vector<std::function<void()>>{
+           [&] { clf->predict_score(x); }, [&] { clf->predict(x); },
+           [&] { clf->predict_into(x, scores, labels); }}) {
+    try {
+      call();
+      ADD_FAILURE() << GetParam() << " predicted before fit";
+    } catch (const std::logic_error& e) {
+      EXPECT_EQ(e.what(), expected);
+    }
+  }
+  clf->fit(x, {0, 1, 0, 1, 1});
+  EXPECT_EQ(clf->predict(x).size(), 5u);
+}
+
 TEST_P(ClassifierProperty, NameMatchesRegistry) {
   auto clf = make_classifier(GetParam(), {}, 6);
   EXPECT_EQ(clf->name(), GetParam());
@@ -129,6 +155,21 @@ INSTANTIATE_TEST_SUITE_P(AllClassifiers, ClassifierProperty,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+TEST(RegressorPredictBeforeFit, LinearRegressorsThrow) {
+  const Matrix x{{1, 2}, {3, 5}, {4, 4}};
+  for (const std::string name : {"linear_regression", "ridge"}) {
+    auto reg = make_regressor(name, {}, 1);
+    try {
+      reg->predict(x);
+      ADD_FAILURE() << name << " predicted before fit";
+    } catch (const std::logic_error& e) {
+      EXPECT_EQ(std::string(e.what()), name + ": predict before fit");
+    }
+    reg->fit(x, {1.0, 2.0, 3.0});
+    EXPECT_EQ(reg->predict(x).size(), 3u);
+  }
+}
 
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_classifier("no_such_classifier"), std::invalid_argument);

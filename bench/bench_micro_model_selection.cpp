@@ -1,11 +1,13 @@
 // Perf-regression harness for the model-selection engine: times grid_search
-// over the default tree-family grid with cross-config state reuse (shared
-// FoldPlan + TrainContext) against the pre-engine per-config cost model
-// (reuse off: every config re-partitions folds, re-copies subsets and
-// re-presorts), and the same search at 4 worker threads against 1.
+// over the default tree-family grid, whose configs share one FoldPlan and
+// one TrainContext, against the pre-engine per-config cost model (the
+// test-only oracle tests/oracle/grid_search.h: every config re-partitions
+// folds, re-copies subsets and re-presorts), and the same search at 4
+// worker threads against 1.
 //
-// Both comparisons are exact-equivalence: the harness first verifies the
-// winner and score are identical across every mode, then times them.
+// Both comparisons are exact-equivalence: the harness first verifies that
+// the winner and score at 1 and 4 threads equal the oracle's, then times
+// them.
 //
 // Flags: --out FILE (default BENCH_model_selection.json), --baseline FILE
 // and --check-regression F, the gate of bench_gate.h on each row's
@@ -15,6 +17,7 @@
 // count (reported as host_threads in the JSON); the committed baseline
 // encodes what the baseline host could show.
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -26,6 +29,7 @@
 #include "bench_gate.h"
 #include "data/generators.h"
 #include "ml/model_selection/grid_search.h"
+#include "tests/oracle/grid_search.h"
 
 namespace {
 
@@ -56,21 +60,26 @@ ClassifierGridSpec tree_grid() {
   return spec;
 }
 
-GridSearchOptions search_options(bool reuse, std::size_t threads) {
-  GridSearchOptions options;
-  options.cv_folds = 5;
-  options.reuse = reuse;
-  options.threads = threads;
-  return options;
+constexpr int kCvFolds = 5;
+constexpr std::uint64_t kSeed = 7;
+
+GridSearchResult search(const ClassifierGridSpec& spec, const Dataset& ds,
+                        std::size_t threads) {
+  return grid_search(spec, ds, GridSearchOptions{.cv_folds = kCvFolds, .threads = threads},
+                     kSeed);
 }
 
-/// Best-of-`repeats` wall time of one full grid_search, in ms.
-double time_search_ms(const ClassifierGridSpec& spec, const Dataset& ds,
-                      const GridSearchOptions& options, int repeats) {
+GridSearchResult reference_search(const ClassifierGridSpec& spec, const Dataset& ds) {
+  return oracle::reference_grid_search(spec, ds, kCvFolds, kSeed);
+}
+
+/// Best-of-`repeats` wall time of one full search, in ms.
+template <typename Search>
+double time_search_ms(const Search& run_search, int repeats) {
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    const GridSearchResult result = grid_search(spec, ds, options, 7);
+    const GridSearchResult result = run_search();
     const auto t1 = std::chrono::steady_clock::now();
     if (result.n_configs == 0) std::abort();  // keep the search observable
     best = std::min(best, std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -95,41 +104,39 @@ int main(int argc, char** argv) {
   const Dataset ds = workload();
   const ClassifierGridSpec spec = tree_grid();
 
-  // Exact-equivalence gate before any timing: every mode must produce the
-  // same winner and the same score, to the bit.
-  const GridSearchResult reference = grid_search(spec, ds, search_options(false, 1), 7);
-  for (const bool reuse : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const GridSearchResult run = grid_search(spec, ds, search_options(reuse, threads), 7);
-      if (run.best_params.to_string() != reference.best_params.to_string() ||
-          run.best_cv_f_score != reference.best_cv_f_score) {
-        std::cerr << "EQUIVALENCE FAILURE at reuse=" << reuse << " threads=" << threads
-                  << ": " << run.best_params.to_string() << " ("
-                  << run.best_cv_f_score << ") vs " << reference.best_params.to_string()
-                  << " (" << reference.best_cv_f_score << ")\n";
-        return 2;
-      }
+  // Exact-equivalence gate before any timing: every thread count must
+  // produce the oracle's winner and score, to the bit.
+  const GridSearchResult reference = reference_search(spec, ds);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const GridSearchResult run = search(spec, ds, threads);
+    if (run.best_params.to_string() != reference.best_params.to_string() ||
+        run.best_cv_f_score != reference.best_cv_f_score) {
+      std::cerr << "EQUIVALENCE FAILURE at threads=" << threads << ": "
+                << run.best_params.to_string() << " (" << run.best_cv_f_score << ") vs "
+                << reference.best_params.to_string() << " (" << reference.best_cv_f_score
+                << ")\n";
+      return 2;
     }
   }
   std::cout << "equivalence check passed: winner " << reference.best_params.to_string()
-            << " f=" << reference.best_cv_f_score << " in every mode\n";
+            << " f=" << reference.best_cv_f_score << " at every thread count\n";
 
   std::vector<Row> rows;
   {
     // State reuse at one thread: shared folds + shared presorts vs the
-    // pre-engine per-config rebuild.
+    // oracle's per-config rebuild.
     Row row;
     row.name = "grid_search/decision_tree";
-    row.fast_ms = time_search_ms(spec, ds, search_options(true, 1), 5);
-    row.reference_ms = time_search_ms(spec, ds, search_options(false, 1), 3);
+    row.fast_ms = time_search_ms([&] { return search(spec, ds, 1); }, 5);
+    row.reference_ms = time_search_ms([&] { return reference_search(spec, ds); }, 3);
     rows.push_back(row);
   }
   {
-    // Parallel scaling on top of reuse: 4 workers vs 1 (bounded by host
-    // cores; see header note).
+    // Parallel scaling: 4 workers vs 1 (bounded by host cores; see header
+    // note).
     Row row;
     row.name = "grid_search/decision_tree_threads4";
-    row.fast_ms = time_search_ms(spec, ds, search_options(true, 4), 5);
+    row.fast_ms = time_search_ms([&] { return search(spec, ds, 4); }, 5);
     row.reference_ms = rows[0].fast_ms;
     rows.push_back(row);
   }
@@ -143,7 +150,8 @@ int main(int argc, char** argv) {
        << "  \"bench\": \"model_selection\",\n"
        << "  \"workload\": {\"n_samples\": " << ds.n_samples()
        << ", \"n_features\": " << ds.n_features()
-       << ", \"n_configs\": " << reference.n_configs << ", \"cv_folds\": 5},\n"
+       << ", \"n_configs\": " << reference.n_configs << ", \"cv_folds\": " << kCvFolds
+       << "},\n"
        << "  \"host_threads\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

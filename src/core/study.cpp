@@ -14,18 +14,12 @@
 
 namespace mlaas {
 
-namespace {
-
-// An int-valued flag in [min, INT_MAX]; checked before the narrowing cast,
-// which would otherwise wrap a large value into range.
 int int_flag(const CliFlags& flags, const std::string& name, int def, int min) {
   const long long v = flags.int_or(name, def);
   if (v >= min && v <= INT_MAX) return static_cast<int>(v);
   throw std::invalid_argument("--" + name + " must be an integer in [" + std::to_string(min) +
                               ", " + std::to_string(INT_MAX) + "], got " + std::to_string(v));
 }
-
-}  // namespace
 
 std::string profile_or(const CliFlags& flags, const std::string& name,
                        const std::string& def, const std::vector<std::string>& known) {

@@ -32,6 +32,11 @@
 
 namespace mlaas {
 
+/// The value of int flag `--name` (`def` when absent), checked to lie in
+/// [min, INT_MAX] before the narrowing cast, which would otherwise wrap a
+/// large value into range; throws std::invalid_argument naming the flag.
+int int_flag(const CliFlags& flags, const std::string& name, int def, int min);
+
 /// --breakers, --breaker-threshold, --breaker-cooldown and --breaker-probes,
 /// with BreakerOptions{}'s defaults; shared by the campaign flags and
 /// `mlaas_cli serve-bench`.  Throws std::invalid_argument naming the flag.

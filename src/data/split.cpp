@@ -10,7 +10,7 @@ namespace mlaas {
 
 TrainTestSplit train_test_split(const Dataset& dataset, double test_fraction,
                                 std::uint64_t seed, bool stratified) {
-  if (test_fraction <= 0.0 || test_fraction >= 1.0) {
+  if (!(test_fraction > 0.0 && test_fraction < 1.0)) {  // NaN fails too
     throw std::invalid_argument("train_test_split: fraction must be in (0,1)");
   }
   const std::size_t n = dataset.n_samples();

@@ -1,6 +1,8 @@
 #include "eval/journal.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -20,12 +22,16 @@ namespace {
 constexpr const char* kSessionDonePrefix = "= done\t";
 constexpr const char* kSessionResetPrefix = "= reset\t";
 
-void fsync_file(FILE* f) {
-  if (std::fflush(f) != 0) {
-    throw std::runtime_error("CellJournal: flush failed");
-  }
+/// Flush `f` and sync it to disk; a journal row is durable only once both
+/// succeed, so either failure throws, naming the journal and the errno text.
+void fsync_file(FILE* f, const std::string& path) {
+  const auto fail = [&](const char* what) {
+    throw std::runtime_error("CellJournal: " + std::string(what) + " failed for " + path +
+                             ": " + std::strerror(errno));
+  };
+  if (std::fflush(f) != 0) fail("flush");
 #ifndef _WIN32
-  ::fsync(::fileno(f));
+  if (::fsync(::fileno(f)) != 0) fail("fsync");
 #endif
 }
 
@@ -99,7 +105,7 @@ CellJournal::CellJournal(std::string path, const std::string& fingerprint, bool 
     if (std::fputs(("# " + fingerprint + '\n').c_str(), file_) < 0) {
       throw std::runtime_error("CellJournal: write failed for " + path_);
     }
-    fsync_file(file_);
+    fsync_file(file_, path_);
   } catch (...) {
     std::fclose(file_);  // the destructor does not run for a throwing constructor
     throw;
@@ -121,7 +127,7 @@ void CellJournal::append_session_block(const std::string& dataset_id,
   if (std::fputs(block.c_str(), file_) < 0) {
     throw std::runtime_error("CellJournal: write failed for " + path_);
   }
-  fsync_file(file_);
+  fsync_file(file_, path_);
   cells_ += rows.size();
 }
 

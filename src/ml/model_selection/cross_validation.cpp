@@ -42,16 +42,9 @@ CvResult cross_validate(const std::string& classifier, const ParamMap& params,
       plan);
 }
 
-CvResult cross_validate(const ClassifierFactory& factory, const Dataset& dataset, int k,
-                        std::uint64_t seed) {
-  return cross_validate(factory, *FoldPlan::compute(dataset, k, seed));
-}
-
 CvResult cross_validate(const std::string& classifier, const ParamMap& params,
                         const Dataset& dataset, int k, std::uint64_t seed) {
-  return cross_validate(
-      [&] { return make_classifier(classifier, params, derive_seed(seed, "cv-clf")); },
-      dataset, k, seed);
+  return cross_validate(classifier, params, *FoldPlan::compute(dataset, k, seed), seed);
 }
 
 }  // namespace mlaas

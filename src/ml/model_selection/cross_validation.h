@@ -22,25 +22,20 @@ struct CvResult {
   int evaluated_folds = 0;  // folds actually scored (both sides non-empty)
 };
 
-/// k-fold CV of a classifier on a dataset; returns averaged test-fold
-/// metrics.  Folds are stratified; k is reduced when the minority class is
-/// too small.
-CvResult cross_validate(const ClassifierFactory& factory, const Dataset& dataset, int k,
-                        std::uint64_t seed);
-
-/// Convenience: CV by registry name + params.
-CvResult cross_validate(const std::string& classifier, const ParamMap& params,
-                        const Dataset& dataset, int k, std::uint64_t seed);
-
-/// CV over a pre-materialized FoldPlan: no re-partitioning or subset copies.
-/// Evaluating plan = FoldPlan::compute(dataset, k, seed) is bit-identical to
-/// cross_validate(factory, dataset, k, seed).
+/// k-fold CV of a classifier over a pre-materialized FoldPlan; returns
+/// averaged test-fold metrics.  No re-partitioning or subset copies.
 CvResult cross_validate(const ClassifierFactory& factory, const FoldPlan& plan);
 
-/// Registry convenience over a FoldPlan.  `seed` is the per-configuration
-/// seed; the classifier is built with derive_seed(seed, "cv-clf"), matching
-/// the dataset overload above.
+/// CV by registry name + params over a FoldPlan.  `seed` is the
+/// per-configuration seed; the classifier is built with
+/// derive_seed(seed, "cv-clf").
 CvResult cross_validate(const std::string& classifier, const ParamMap& params,
                         const FoldPlan& plan, std::uint64_t seed);
+
+/// CV by registry name + params on a dataset: the overload above over
+/// FoldPlan::compute(dataset, k, seed).  Folds are stratified; k is reduced
+/// when the minority class is too small.
+CvResult cross_validate(const std::string& classifier, const ParamMap& params,
+                        const Dataset& dataset, int k, std::uint64_t seed);
 
 }  // namespace mlaas

@@ -10,25 +10,24 @@ namespace mlaas {
 
 namespace {
 
-/// Materialize folds from an assignment, ascending row order on both sides —
-/// the same subset order the original cross_validate loop produced.
-void materialize(FoldPlan& plan, const Dataset& dataset) {
+/// Materialize folds from a sample->fold assignment, ascending row order on
+/// both sides — the same subset order the original cross_validate loop
+/// produced.
+void materialize(FoldPlan& plan, const Dataset& dataset, const std::vector<int>& assignment) {
   const std::size_t n = dataset.n_samples();
   plan.folds.resize(static_cast<std::size_t>(plan.k));
-  plan.evaluated_folds = 0;
   std::vector<std::size_t> train_idx, test_idx;
   for (int fold = 0; fold < plan.k; ++fold) {
     train_idx.clear();
     test_idx.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      (plan.assignment[i] == fold ? test_idx : train_idx).push_back(i);
+      (assignment[i] == fold ? test_idx : train_idx).push_back(i);
     }
     FoldPlan::Fold& f = plan.folds[static_cast<std::size_t>(fold)];
     f.degenerate = train_idx.empty() || test_idx.empty();
     if (f.degenerate) continue;
     f.train = dataset.subset(train_idx);
     f.test = dataset.subset(test_idx);
-    ++plan.evaluated_folds;
   }
 }
 
@@ -37,58 +36,22 @@ void materialize(FoldPlan& plan, const Dataset& dataset) {
 std::shared_ptr<const FoldPlan> FoldPlan::compute(const Dataset& dataset, int k,
                                                   std::uint64_t seed) {
   auto plan = std::make_shared<FoldPlan>();
-  plan->requested_k = k;
   const std::size_t n = dataset.n_samples();
   const std::size_t pos = count_positive(dataset.y());
   const std::size_t minority = std::min(pos, n - pos);
   plan->k =
       std::max(2, std::min<int>(k, static_cast<int>(std::max<std::size_t>(2, minority))));
-  plan->assignment = kfold_assignment(dataset.y(), plan->k, derive_seed(seed, "cv"));
-  materialize(*plan, dataset);
+  materialize(*plan, dataset, kfold_assignment(dataset.y(), plan->k, derive_seed(seed, "cv")));
   return plan;
 }
 
 std::shared_ptr<const FoldPlan> FoldPlan::from_assignment(const Dataset& dataset,
-                                                          std::vector<int> assignment,
+                                                          const std::vector<int>& assignment,
                                                           int k) {
   auto plan = std::make_shared<FoldPlan>();
-  plan->requested_k = k;
   plan->k = k;
-  plan->assignment = std::move(assignment);
-  materialize(*plan, dataset);
+  materialize(*plan, dataset, assignment);
   return plan;
-}
-
-FoldPlanPtr FoldPlanCache::get(int k, std::uint64_t seed) {
-  const std::pair<int, std::uint64_t> key{k, seed};
-  {
-    std::lock_guard lock(mu_);
-    if (auto it = plans_.find(key); it != plans_.end()) {
-      ++hits_;
-      return it->second;
-    }
-  }
-  // Compute outside the lock: plans for distinct (k, seed) build in
-  // parallel, and a racing duplicate is just dropped below.
-  FoldPlanPtr plan = FoldPlan::compute(dataset_, k, seed);
-  std::lock_guard lock(mu_);
-  auto [it, inserted] = plans_.emplace(key, std::move(plan));
-  if (inserted) {
-    ++misses_;
-  } else {
-    ++hits_;
-  }
-  return it->second;
-}
-
-std::size_t FoldPlanCache::hits() const {
-  std::lock_guard lock(mu_);
-  return hits_;
-}
-
-std::size_t FoldPlanCache::misses() const {
-  std::lock_guard lock(mu_);
-  return misses_;
 }
 
 }  // namespace mlaas

@@ -4,8 +4,7 @@
 // re-copy the k train/test Dataset subsets for every configuration a tuner
 // evaluated, even though both depend only on (dataset, k, seed).  A FoldPlan
 // computes them once; grid_search and auto_select share one plan across all
-// their configurations via shared_ptr, and FoldPlanCache memoizes plans for
-// callers that probe the same dataset at several (k, seed) points.
+// their configurations via shared_ptr.
 //
 // Exact equivalence: compute() applies the same minority-class clamp and the
 // same derive_seed(seed, "cv") fold assignment as the original
@@ -15,10 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -34,11 +30,8 @@ struct FoldPlan {
     bool degenerate = false;
   };
 
-  int requested_k = 0;          // k as asked for by the caller
-  int k = 0;                    // effective k after the minority-class clamp
-  std::vector<int> assignment;  // sample -> fold, from kfold_assignment
-  std::vector<Fold> folds;      // size k, materialized train/test subsets
-  int evaluated_folds = 0;      // folds with both sides non-empty
+  int k = 0;                // effective k after the minority-class clamp
+  std::vector<Fold> folds;  // size k, materialized train/test subsets
 
   /// Clamp k against the minority class, assign stratified folds with
   /// derive_seed(seed, "cv"), and materialize every fold's subsets.
@@ -48,30 +41,10 @@ struct FoldPlan {
   /// Build from an explicit sample->fold assignment, no clamp or reseeding
   /// (tests construct degenerate folds on demand with this).
   static std::shared_ptr<const FoldPlan> from_assignment(const Dataset& dataset,
-                                                         std::vector<int> assignment,
+                                                         const std::vector<int>& assignment,
                                                          int k);
 };
 
 using FoldPlanPtr = std::shared_ptr<const FoldPlan>;
-
-/// Thread-safe per-dataset memo of FoldPlans keyed by (requested k, seed).
-/// Borrows the dataset: it must outlive the cache.
-class FoldPlanCache {
- public:
-  explicit FoldPlanCache(const Dataset& dataset) : dataset_(dataset) {}
-
-  /// Create-or-get the plan for (k, seed).
-  FoldPlanPtr get(int k, std::uint64_t seed);
-
-  std::size_t hits() const;
-  std::size_t misses() const;
-
- private:
-  const Dataset& dataset_;
-  mutable std::mutex mu_;
-  std::map<std::pair<int, std::uint64_t>, FoldPlanPtr> plans_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-};
 
 }  // namespace mlaas

@@ -30,37 +30,24 @@ double score_config(const ClassifierGridSpec& spec, const ParamMap& params,
 
 GridSearchResult grid_search(const ClassifierGridSpec& spec, const Dataset& train,
                              const GridSearchOptions& options, std::uint64_t seed) {
-  const auto grid = expand_grid(spec, options.max_configs, seed);
+  const auto grid = expand_grid(spec, 0, seed);
   GridSearchResult result;
   result.n_configs = grid.size();
   result.best_params = spec.default_config();
   if (grid.empty()) return result;
 
-  // One fold plan for the whole search; with reuse off an identical plan is
-  // recomputed per config (the pre-engine cost model, kept measurable).
-  FoldPlanPtr shared_plan;
-  if (options.reuse) shared_plan = FoldPlan::compute(train, options.cv_folds, seed);
-
-  // Shared cross-config training-state cache (tree presorts, kNN norms).
-  // The shared plan keeps every fold's train matrix alive and at a stable
-  // address for the whole search, so configs on the same fold hit.
+  const FoldPlanPtr plan = FoldPlan::compute(train, options.cv_folds, seed);
+  // Shared cross-config training-state cache (tree presorts).  The plan
+  // keeps every fold's train matrix alive and at a stable address for the
+  // whole search, so configs on the same fold hit.
   TrainContext context;
 
   std::vector<double> scores(grid.size());
-  const auto eval_one = [&](std::size_t i) {
-    ScopedTrainContext scope(options.reuse ? &context : nullptr);
-    const FoldPlanPtr plan = options.reuse
-                                 ? shared_plan
-                                 : FoldPlan::compute(train, options.cv_folds, seed);
+  ThreadPool pool(options.threads);
+  pool.parallel_for_dynamic(grid.size(), [&](std::size_t i) {
+    ScopedTrainContext scope(&context);
     scores[i] = score_config(spec, grid[i], *plan, seed);
-  };
-
-  if (options.threads == 1) {
-    for (std::size_t i = 0; i < grid.size(); ++i) eval_one(i);
-  } else {
-    ThreadPool pool(options.threads);
-    pool.parallel_for_dynamic(grid.size(), eval_one);
-  }
+  });
 
   // Reduce in canonical grid order: workers fill independent slots, so the
   // winner (and its tie-break) is identical for every thread count.

@@ -21,18 +21,10 @@ namespace mlaas {
 
 struct GridSearchOptions {
   int cv_folds = 5;
-  /// Grid subsample cap (0 = unlimited), as expand_grid.
-  std::size_t max_configs = 0;
-  /// Worker threads for config evaluation: 1 = serial in the calling
-  /// thread, 0 = hardware concurrency.  Results are bit-identical for every
-  /// thread count: per-config seeds are order-independent and scores are
-  /// reduced in canonical grid order.
+  /// Worker threads for config evaluation, 0 = hardware concurrency.
+  /// Results are bit-identical for every thread count: per-config seeds are
+  /// order-independent and scores are reduced in canonical grid order.
   std::size_t threads = 1;
-  /// Share the fold plan and a TrainContext (tree presorts, kNN norms)
-  /// across configs.  Off rebuilds identical state per config — results are
-  /// bit-identical either way; the toggle exists for benchmarks and
-  /// equivalence tests.
-  bool reuse = true;
 };
 
 struct GridSearchResult {
@@ -41,11 +33,13 @@ struct GridSearchResult {
   std::size_t n_configs = 0;
 };
 
-/// Cross-validated search over the spec's grid.  Selection rule: a NaN mean
-/// F-score (degenerate CV fold) counts as 0, and exact ties break toward the
-/// lexicographically smaller canonical parameter string — both so the winner
-/// is a deterministic function of the grid's contents, never of its
-/// enumeration order (or, now, of the evaluation thread count).
+/// Cross-validated search over the spec's full grid.  The configs share
+/// one fold plan and one TrainContext (tree presorts), and run on a pool
+/// of options.threads workers.  Selection rule: a NaN mean F-score
+/// (degenerate CV fold) counts as 0, and exact ties break toward the
+/// lexicographically smaller canonical parameter string — both so the
+/// winner is a deterministic function of the grid's contents, never of its
+/// enumeration order or of the thread count.
 GridSearchResult grid_search(const ClassifierGridSpec& spec, const Dataset& train,
                              const GridSearchOptions& options, std::uint64_t seed);
 

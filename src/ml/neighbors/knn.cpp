@@ -9,7 +9,6 @@
 
 #include "linalg/dense_kernels.h"
 #include "linalg/vector_ops.h"
-#include "ml/tree/trainer.h"
 
 namespace mlaas {
 
@@ -36,17 +35,7 @@ void KNearestNeighbors::fit(const Matrix& x, const std::vector<int>& y) {
   check_single_class(y);
   train_x_ = x;
   train_y_ = y;
-  if (p_ != 2.0) {
-    train_sq_norms_.clear();
-    return;
-  }
-  // An installed TrainContext caches the norms across configs fitting the
-  // same matrix (same per-row dot, so the values are bit-identical).
-  if (TrainContext* context = active_train_context()) {
-    train_sq_norms_ = *context->row_squared_norms(x);
-  } else {
-    train_sq_norms_ = row_squared_norms(x);
-  }
+  train_sq_norms_ = p_ == 2.0 ? row_squared_norms(x) : std::vector<double>{};
 }
 
 void KNearestNeighbors::predict_score_into(const Matrix& x,

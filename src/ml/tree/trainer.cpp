@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 
-#include "linalg/vector_ops.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -452,27 +451,6 @@ std::shared_ptr<const TreeTrainBase> TrainContext::tree_base(const Matrix& x) {
   ++stats_.tree_base_misses;
   e.base = TreeTrainBase::build(x);
   return e.base;
-}
-
-std::shared_ptr<const std::vector<double>> TrainContext::row_squared_norms(
-    const Matrix& x) {
-  const MatrixKey key = MatrixKey::of(x);
-  std::lock_guard lock(mu_);
-  Entry& e = touch(key);
-  if (e.norms) {
-    ++stats_.norms_hits;
-    return e.norms;
-  }
-  ++stats_.norms_misses;
-  // Same per-row dot as KNearestNeighbors::fit computed, so cached norms
-  // are bit-identical to freshly computed ones.
-  auto norms = std::make_shared<std::vector<double>>(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const auto row = x.row(i);
-    (*norms)[i] = dot(row, row);
-  }
-  e.norms = std::move(norms);
-  return e.norms;
 }
 
 FittedFeatureStep TrainContext::feature_step(const std::string& name, const Matrix& x,

@@ -65,8 +65,10 @@ struct TreeTrainBase {
 
 /// Cross-fit cache of data-only training state, shared between every config
 /// a tuner or campaign session fits on the same training matrix: the tree
-/// family's TreeTrainBase, kNN's cached squared row norms, and one fitted
-/// pipeline feature step.
+/// family's TreeTrainBase and one fitted pipeline feature step.  Only
+/// state that costs more to build than the content hash below is cached:
+/// kNN's squared row norms read the same n·d doubles as the hash, so a hit
+/// on them costs more than computing them.
 ///
 /// Entries are keyed on matrix identity (data pointer, rows, cols) and
 /// guarded by a full content hash verified on every lookup — a freed matrix
@@ -83,7 +85,6 @@ struct TreeTrainBase {
 class TrainContext {
  public:
   std::shared_ptr<const TreeTrainBase> tree_base(const Matrix& x);
-  std::shared_ptr<const std::vector<double>> row_squared_norms(const Matrix& x);
 
   /// fit_feature_step(name, x, y), served from a one-slot cache.  The slot
   /// is keyed on x's identity and content hash, a content hash of y, and
@@ -91,18 +92,16 @@ class TrainContext {
   /// Feature steps take no seed and their fit is a pure function of
   /// (x, y), so a run of pipelines using one step on one training set fits
   /// it once.  The held transform keeps its address while the slot holds
-  /// it, so the classifier's tree_base / row_squared_norms lookups on it
-  /// hit too.  One slot because a campaign session emits each step's cells
-  /// consecutively; holding every step would add only the joint sample's
-  /// hits and costs peak memory (DESIGN.md "Model-selection engine").
+  /// it, so the classifier's tree_base lookups on it hit too.  One slot
+  /// because a campaign session emits each step's cells consecutively;
+  /// holding every step would add only the joint sample's hits and costs
+  /// peak memory (DESIGN.md "Model-selection engine").
   FittedFeatureStep feature_step(const std::string& name, const Matrix& x,
                                  const std::vector<int>& y);
 
   struct Stats {
     std::size_t tree_base_hits = 0;
     std::size_t tree_base_misses = 0;
-    std::size_t norms_hits = 0;
-    std::size_t norms_misses = 0;
     std::size_t feature_step_hits = 0;
     std::size_t feature_step_misses = 0;
   };
@@ -126,7 +125,6 @@ class TrainContext {
     MatrixKey key;
     std::uint64_t last_used = 0;
     std::shared_ptr<const TreeTrainBase> base;
-    std::shared_ptr<const std::vector<double>> norms;
   };
   struct FeatureStepSlot {
     MatrixKey x;
@@ -146,8 +144,7 @@ class TrainContext {
 };
 
 /// The calling thread's installed TrainContext (nullptr when none).
-/// Consulted by TreeWorkspace::bind, KNearestNeighbors::fit and
-/// PipelineModel::fit.
+/// Consulted by TreeWorkspace::bind and PipelineModel::fit.
 TrainContext* active_train_context();
 
 /// RAII installer for the thread-local active context.  Passing nullptr

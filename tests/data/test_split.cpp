@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "data/generators.h"
@@ -76,6 +77,7 @@ TEST(Split, DifferentSeedsDiffer) {
 TEST(Split, RejectsBadFraction) {
   EXPECT_THROW(train_test_split(balanced(10), 0.0, 1), std::invalid_argument);
   EXPECT_THROW(train_test_split(balanced(10), 1.0, 1), std::invalid_argument);
+  EXPECT_THROW(train_test_split(balanced(10), std::nan(""), 1), std::invalid_argument);
 }
 
 TEST(KFold, AssignsAllFolds) {

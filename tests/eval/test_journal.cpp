@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -146,6 +147,28 @@ TEST(CellJournal, TornTailIsDiscardedNotFatal) {
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->cells, 1u);
   std::remove(path.c_str());
+}
+
+TEST(CellJournal, RejectsATargetItCannotSync) {
+  // fsync on /dev/null fails (EINVAL): nothing written there is durable, so
+  // neither the header nor a session block may count as journaled.
+  const std::string path = "/dev/null";
+  if (!std::filesystem::exists(path)) GTEST_SKIP() << path << " is absent";
+  const auto expect_sync_error = [&](const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << "wrote to " << path << " without an error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("fsync failed for " + path), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_sync_error([&] { CellJournal journal(path, "fp", /*truncate=*/true); });
+  CellJournal journal(path, "fp", /*truncate=*/false);
+  expect_sync_error([&] {
+    journal.append_session_block("d1", "Google", {make_row("d1", "Google", "knn", 0.9)});
+  });
+  EXPECT_EQ(journal.cells_journaled(), 0u);
 }
 
 TEST(CellJournal, CrashedCampaignResumesBitIdentically) {

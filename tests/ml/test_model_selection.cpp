@@ -3,6 +3,7 @@
 #include "ml/model_selection/cross_validation.h"
 #include "ml/model_selection/grid_search.h"
 #include "tests/ml/test_helpers.h"
+#include "tests/oracle/grid_search.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -87,36 +88,27 @@ TEST(GridSearch, WinnerIsDeterministicAcrossRepeatedCalls) {
   EXPECT_DOUBLE_EQ(a.best_cv_f_score, b.best_cv_f_score);
 }
 
-TEST(GridSearch, BitIdenticalAcrossThreadCountsAndReuseToggle) {
+TEST(GridSearch, BitIdenticalToOracleAcrossThreadCounts) {
   // The engine contract: the winner and its score are a function of (spec,
-  // data, seed) only — never of the worker count or of whether fold/state
-  // reuse is on.  Exact double equality, not tolerance.
+  // data, seed) only, never of the worker count or of the shared plan and
+  // context, so every thread count matches the per-config oracle.  Exact
+  // double equality, not tolerance.
   const Dataset ds = testing::circles(300, 28);
   ClassifierGridSpec spec;
   spec.classifier = "decision_tree";
   spec.params = {ParamSpec::integer("max_depth", 5, 1, 30),
                  ParamSpec::integer("min_samples_leaf", 4, 1, 64)};
 
-  GridSearchOptions serial_fresh;
-  serial_fresh.cv_folds = 3;
-  serial_fresh.threads = 1;
-  serial_fresh.reuse = false;
-  const GridSearchResult reference = grid_search(spec, ds, serial_fresh, 7);
+  const GridSearchResult reference = oracle::reference_grid_search(spec, ds, 3, 7);
   ASSERT_EQ(reference.n_configs, 9u);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    for (const bool reuse : {false, true}) {
-      GridSearchOptions options;
-      options.cv_folds = 3;
-      options.threads = threads;
-      options.reuse = reuse;
-      const GridSearchResult run = grid_search(spec, ds, options, 7);
-      EXPECT_EQ(run.n_configs, reference.n_configs);
-      EXPECT_EQ(run.best_params.to_string(), reference.best_params.to_string())
-          << "threads=" << threads << " reuse=" << reuse;
-      EXPECT_EQ(run.best_cv_f_score, reference.best_cv_f_score)
-          << "threads=" << threads << " reuse=" << reuse;
-    }
+    const GridSearchResult run =
+        grid_search(spec, ds, GridSearchOptions{.cv_folds = 3, .threads = threads}, 7);
+    EXPECT_EQ(run.n_configs, reference.n_configs);
+    EXPECT_EQ(run.best_params.to_string(), reference.best_params.to_string())
+        << "threads=" << threads;
+    EXPECT_EQ(run.best_cv_f_score, reference.best_cv_f_score) << "threads=" << threads;
   }
 }
 

@@ -103,7 +103,7 @@ int cmd_list(const CliFlags& flags) {
 int cmd_train(const CliFlags& flags) {
   const auto csv_path = flags.get("csv");
   CsvOptions csv_options;
-  csv_options.label_column = static_cast<int>(flags.int_or("label-column", -1));
+  csv_options.label_column = int_flag(flags, "label-column", -1, -1);
   const std::string platform_name = flags.get_or("platform", "Local");
   PipelineConfig config;
   config.feature_step = flags.get_or("feat", "");
@@ -112,6 +112,9 @@ int cmd_train(const CliFlags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.int_or("seed", 42));
   const double test_fraction = flags.double_or("test-fraction", 0.3);
   flags.reject_unread();
+  if (!(test_fraction > 0.0 && test_fraction < 1.0)) {
+    throw std::invalid_argument("--test-fraction must be in (0, 1)");
+  }
   if (!csv_path) {
     std::cerr << "train: --csv FILE is required\n";
     return 2;
